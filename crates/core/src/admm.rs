@@ -20,11 +20,11 @@ use crate::levels::CompressionTable;
 use crate::mask::{gate_associations, priorities, GateAssoc, SelectionRule};
 use calibration::snapshot::CalibrationSnapshot;
 use qnn::data::Sample;
+use qnn::executor::parallel::worker_threads;
 use qnn::executor::NoisyExecutor;
-use qnn::loss::cross_entropy;
 use qnn::model::VqcModel;
 use qnn::optim::Adam;
-use qnn::probe::pure_fd_probes;
+use qnn::probe::pure_fd_gradient;
 use qnn::train::{train_spsa_masked, Env, SpsaConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -167,6 +167,8 @@ pub fn compress(
     let mut u = vec![0.0; theta.len()];
     let mut mask = vec![false; theta.len()];
 
+    let slots: Vec<usize> = (0..theta.len()).collect();
+    let threads = worker_threads();
     let mut order: Vec<usize> = (0..train_set.len()).collect();
     for _round in 0..config.rounds {
         // (1) Regenerate the mask from the current θ and calibration data.
@@ -205,26 +207,16 @@ pub fn compress(
 
             // Loss gradient by central differences (pure environment: the
             // paper's f is the training loss; noise enters via mask + the
-            // fine-tune below). Probes of every θ coordinate run through
-            // the prefix-sharing engine — one sweep per sample instead of
-            // 2·P full state-vector runs, bit-identical sums.
+            // fine-tune below), through the same prefix-sharing,
+            // sample-parallel engine as pure training.
             let mut grad = penalty_grad(&theta);
-            n_evals += batch.len() as u64; // base loss bookkeeping
-            let slots: Vec<usize> = (0..theta.len()).collect();
-            let mut fp_sum = vec![0.0; theta.len()];
-            let mut fm_sum = vec![0.0; theta.len()];
-            for s in &batch {
-                let probes = pure_fd_probes(model, &s.features, &theta, config.grad_step, &slots);
-                for (t, (_, zp, zm)) in probes.shifted.iter().enumerate() {
-                    fp_sum[t] += cross_entropy(zp, s.label);
-                    fm_sum[t] += cross_entropy(zm, s.label);
-                }
+            let (_, loss_grad) =
+                pure_fd_gradient(model, &batch, &theta, config.grad_step, &slots, threads);
+            for (g, l) in grad.iter_mut().zip(&loss_grad) {
+                *g += l;
             }
-            let b = batch.len() as f64;
-            for i in 0..theta.len() {
-                n_evals += 2 * batch.len() as u64;
-                grad[i] += (fp_sum[i] / b - fm_sum[i] / b) / (2.0 * config.grad_step);
-            }
+            // Base loss plus the ± probes of every coordinate.
+            n_evals += (1 + 2 * theta.len() as u64) * batch.len() as u64;
             opt.step(&mut theta, &grad);
         }
 

@@ -997,8 +997,9 @@ impl NoisyExecutor {
     /// backend packs probes that bind to bitwise-identical parameter
     /// vectors into shared [`TrajectoryPanel`] sweeps
     /// ([`quasim::trajectory::estimate_prob_one_panel_multi`]). With
-    /// `threads > 1` contiguous probe chunks fan out over scoped threads,
-    /// one executor clone (and so one workspace/panel) per worker.
+    /// `threads > 1` contiguous probe chunks fan out through
+    /// [`parallel::map_chunks`], one executor clone (and so one
+    /// workspace/panel) per worker.
     ///
     /// **Bit-identity contract**: element `i` of the result equals
     /// [`Self::z_scores_seeded`]`(probes[i].features, probes[i].weights,
@@ -1018,26 +1019,12 @@ impl NoisyExecutor {
         threads: usize,
     ) -> Vec<Vec<f64>> {
         let probes = batch.probes();
-        if threads <= 1 || probes.len() <= 1 {
-            return self.evaluate_probes_sequential(snapshot, probes);
-        }
-        // Contiguous probe chunks, one per worker, mirroring
-        // `parallel::batch_z_scores`: results are keyed by probe index and
-        // every probe's noise comes from its own stream, so the fan-out
-        // cannot change bits.
-        let chunk = probes.len().div_ceil(threads);
-        let mut results: Vec<Vec<Vec<f64>>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for part in probes.chunks(chunk) {
-                let exec = self.clone();
-                handles.push(scope.spawn(move || exec.evaluate_probes_sequential(snapshot, part)));
-            }
-            for handle in handles {
-                results.push(handle.join().expect("probe evaluation worker panicked"));
-            }
-        });
-        results.into_iter().flatten().collect()
+        // Contiguous probe chunks, one per worker: results are keyed by
+        // probe index and every probe's noise comes from its own stream,
+        // so the fan-out cannot change bits.
+        parallel::map_chunks(self, probes.len(), threads, |exec, range| {
+            exec.evaluate_probes_sequential(snapshot, &probes[range])
+        })
     }
 
     /// Single-threaded core of [`Self::evaluate_probes`]: group by
@@ -1233,15 +1220,19 @@ fn mix_stream(seed: u64, stream: u64) -> u64 {
 }
 
 pub mod parallel {
-    //! Scoped-thread batch evaluation of density-matrix runs.
+    //! Scoped-thread batch evaluation.
     //!
     //! The per-day evaluation loop of the QuCAD protocol — accuracy of one
     //! weight vector over the test set under one calibration snapshot —
     //! dominates experiment wall time: every sample is an independent dense
     //! density-matrix simulation. The helpers here fan those independent
-    //! evaluations across OS threads (`std::thread::scope`; no external
-    //! thread-pool dependency) while keeping results **bit-identical to the
-    //! sequential path**:
+    //! evaluations across OS threads while keeping results
+    //! **bit-identical to the sequential path**. Every fan-out in this
+    //! crate — [`batch_z_scores`], [`accuracy_over_days`],
+    //! [`NoisyExecutor::evaluate_probes`] and the noise-free gradient
+    //! sweeps of [`crate::probe::pure_fd_gradient`] — goes through one
+    //! helper, [`map_chunks`] (`std::thread::scope`; no external
+    //! thread-pool dependency):
     //!
     //! - every evaluation draws shot noise from its own stream, derived
     //!   only from `(shot_seed, day_stream, sample index)` via
@@ -1270,6 +1261,7 @@ pub mod parallel {
     use crate::data::Sample;
     use crate::loss::{accuracy, predict};
     use calibration::snapshot::CalibrationSnapshot;
+    use std::ops::Range;
 
     /// Number of worker threads the batch evaluators should use:
     /// `QUCAD_THREADS` if set, otherwise the machine's available
@@ -1326,36 +1318,20 @@ pub mod parallel {
         day_stream: u64,
         threads: usize,
     ) -> Vec<Vec<f64>> {
-        let one_sample = |i: usize, exec: &NoisyExecutor| {
-            exec.z_scores_seeded(
-                &samples[i].features,
-                weights,
-                snapshot,
-                eval_stream(day_stream, i as u64),
-            )
-        };
-        if threads <= 1 || samples.len() <= 1 {
-            return (0..samples.len()).map(|i| one_sample(i, exec)).collect();
-        }
-        // Contiguous index chunks, one per worker; each worker owns a clone
-        // of the executor (the shared shot stream's RefCell is not Sync,
-        // and the seeded path never touches it anyway).
-        let chunk = samples.len().div_ceil(threads);
-        let mut results: Vec<Vec<Vec<f64>>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for start in (0..samples.len()).step_by(chunk) {
-                let end = (start + chunk).min(samples.len());
-                let exec = exec.clone();
-                handles.push(
-                    scope.spawn(move || (start..end).map(|i| one_sample(i, &exec)).collect()),
-                );
-            }
-            for handle in handles {
-                results.push(handle.join().expect("batch evaluation worker panicked"));
-            }
-        });
-        results.into_iter().flatten().collect()
+        // Each worker owns a clone of the executor (its workspace and
+        // panel are not `Sync`).
+        map_chunks(exec, samples.len(), threads, |exec, range| {
+            range
+                .map(|i| {
+                    exec.z_scores_seeded(
+                        &samples[i].features,
+                        weights,
+                        snapshot,
+                        eval_stream(day_stream, i as u64),
+                    )
+                })
+                .collect()
+        })
     }
 
     /// Classification accuracy of `weights` on `samples` under `snapshot`,
@@ -1398,12 +1374,6 @@ pub mod parallel {
         threads: usize,
     ) -> Vec<f64> {
         assert!(!samples.is_empty(), "empty evaluation set");
-        let one_day = |d: usize, exec: &NoisyExecutor| {
-            batch_accuracy(exec, samples, weights, days[d], d as u64, 1)
-        };
-        if threads <= 1 || days.len() <= 1 {
-            return (0..days.len()).map(|d| one_day(d, exec)).collect();
-        }
         if days.len() < threads {
             // Fewer days than cores: the day-level fan-out alone would
             // leave workers idle, so fan each day's samples instead (same
@@ -1412,21 +1382,53 @@ pub mod parallel {
                 .map(|d| batch_accuracy(exec, samples, weights, days[d], d as u64, threads))
                 .collect();
         }
-        let chunk = days.len().div_ceil(threads);
-        let mut results: Vec<Vec<f64>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for start in (0..days.len()).step_by(chunk) {
-                let end = (start + chunk).min(days.len());
-                let exec = exec.clone();
-                handles
-                    .push(scope.spawn(move || (start..end).map(|d| one_day(d, &exec)).collect()));
-            }
-            for handle in handles {
-                results.push(handle.join().expect("day evaluation worker panicked"));
-            }
+        map_chunks(exec, days.len(), threads, |exec, range| {
+            range
+                .map(|d| batch_accuracy(exec, samples, weights, days[d], d as u64, 1))
+                .collect()
+        })
+    }
+
+    /// Maps contiguous chunks of `0..n` over up to `threads` scoped worker
+    /// threads and concatenates their results in index order — the one
+    /// fan-out every batch evaluator here uses.
+    ///
+    /// `f(state, range)` must return one result per index of `range`.
+    /// Each spawned worker gets its own clone of `state` (executors carry
+    /// non-`Sync` scratch), made before the spawn; with `threads <= 1` or
+    /// `n <= 1`, `f` runs once on the calling thread with `state` itself.
+    /// Because results are placed by index, any reduction the caller runs
+    /// over them in index order is bit-identical for every `threads`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker panics or returns the wrong number of results.
+    pub fn map_chunks<S, T, F>(state: &S, n: usize, threads: usize, f: F) -> Vec<T>
+    where
+        S: Clone + Send,
+        T: Send,
+        F: Fn(&S, Range<usize>) -> Vec<T> + Sync,
+    {
+        if threads <= 1 || n <= 1 {
+            return f(state, 0..n);
+        }
+        let chunk = n.div_ceil(threads);
+        let out: Vec<T> = std::thread::scope(|scope| {
+            let f = &f;
+            let handles: Vec<_> = (0..n)
+                .step_by(chunk)
+                .map(|start| {
+                    let local = state.clone();
+                    scope.spawn(move || f(&local, start..(start + chunk).min(n)))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("parallel worker panicked"))
+                .collect()
         });
-        results.into_iter().flatten().collect()
+        assert_eq!(out.len(), n, "map_chunks: one result per index");
+        out
     }
 }
 

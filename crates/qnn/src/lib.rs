@@ -58,7 +58,7 @@ pub mod train;
 pub use data::{Dataset, Sample};
 pub use executor::{pure_z_scores, NoiseOptions, NoisyExecutor, ProbeBatch, ProbeRequest};
 pub use model::VqcModel;
-pub use probe::{pure_fd_probes, PureProbes};
+pub use probe::pure_fd_gradient;
 pub use train::{
     evaluate, train, train_masked, train_masked_sequential, train_masked_with_threads,
     train_spsa_masked, train_spsa_masked_sequential, train_spsa_masked_with_threads, Env,

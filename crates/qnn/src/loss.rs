@@ -37,8 +37,15 @@ pub fn softmax(logits: &[f64]) -> Vec<f64> {
 /// Panics if `label` is out of range.
 pub fn cross_entropy(z_scores: &[f64], label: usize) -> f64 {
     assert!(label < z_scores.len(), "label out of range");
-    let probs = softmax(&logits_from_z(z_scores));
-    -(probs[label].max(1e-12)).ln()
+    // `softmax(logits_from_z(z))[label]` without the two temporaries: the
+    // same operations in the same order, so the same bits.
+    let max = z_scores
+        .iter()
+        .map(|&z| -z)
+        .fold(f64::NEG_INFINITY, f64::max);
+    let total: f64 = z_scores.iter().map(|&z| (-z - max).exp()).sum();
+    let p = (-z_scores[label] - max).exp() / total;
+    -(p.max(1e-12)).ln()
 }
 
 /// Mean cross-entropy over a batch of already-evaluated Z-score vectors.
@@ -126,6 +133,23 @@ mod tests {
         let a = softmax(&[1.0, 2.0]);
         let b = softmax(&[101.0, 102.0]);
         assert!((a[0] - b[0]).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cross_entropy_matches_softmax_composition_bitwise() {
+        let zs = [
+            vec![0.3, -0.7, 0.11, 0.9],
+            vec![-1.0, 1.0],
+            vec![0.0, -0.0, 1e-9],
+            vec![0.999_999, -0.999_999, 0.5],
+        ];
+        for z in &zs {
+            for label in 0..z.len() {
+                let probs = softmax(&logits_from_z(z));
+                let want = -(probs[label].max(1e-12)).ln();
+                assert_eq!(cross_entropy(z, label).to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //!   worker pool (or packs identical-program probes into shared
 //!   trajectory panels);
 //! - **the pure environment** goes through
-//!   [`crate::probe::pure_fd_probes`], which shares state-vector prefixes
-//!   between a sample's finite-difference probes.
+//!   [`crate::probe::pure_fd_gradient`], which shares state-vector prefixes
+//!   between a sample's finite-difference probes and spreads the samples
+//!   of a minibatch over the worker threads.
 //!
 //! Every noisy probe draws shot noise from a stream derived *positionally*
 //! from `(day, step, probe slot, sample index)` via
@@ -46,7 +47,7 @@ use crate::executor::{pure_z_scores, NoisyExecutor, ProbeBatch};
 use crate::loss::{accuracy, cross_entropy, mean_cross_entropy, predict};
 use crate::model::VqcModel;
 use crate::optim::Adam;
-use crate::probe::pure_fd_probes;
+use crate::probe::pure_fd_gradient;
 use calibration::snapshot::CalibrationSnapshot;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -175,7 +176,8 @@ pub fn train_masked(
     )
 }
 
-/// Base loss and masked central-difference gradient of one minibatch,
+/// Base loss and masked central-difference gradient of one minibatch:
+/// noise-free batches go through [`pure_fd_gradient`], noisy ones are
 /// evaluated as a single probe batch.
 ///
 /// `slots` lists the trainable weight indices. Probe slot `0` is the base
@@ -193,63 +195,50 @@ fn masked_fd_gradient(
     step: u64,
     threads: usize,
 ) -> (f64, Vec<f64>) {
+    let (exec, snapshot) = match env {
+        Env::Pure => return pure_fd_gradient(model, batch, weights, h, slots, threads),
+        Env::Noisy { exec, snapshot } => (exec, snapshot),
+    };
     let b = batch.len() as f64;
     let mut base_sum = 0.0;
     let mut fp_sum = vec![0.0; slots.len()];
     let mut fm_sum = vec![0.0; slots.len()];
-    match env {
-        Env::Pure => {
-            // One prefix-sharing sweep per sample replaces `1 + 2·|slots|`
-            // full state-vector runs; per-sample losses still accumulate in
-            // batch order, keeping the sums bit-identical to the loop.
-            for s in batch {
-                let probes = pure_fd_probes(model, &s.features, weights, h, slots);
-                base_sum += cross_entropy(&probes.base, s.label);
-                for (t, (_, zp, zm)) in probes.shifted.iter().enumerate() {
-                    fp_sum[t] += cross_entropy(zp, s.label);
-                    fm_sum[t] += cross_entropy(zm, s.label);
-                }
-            }
+    let day_stream = snapshot.day as u64;
+    let mut shifted: Vec<Vec<f64>> = Vec::with_capacity(2 * slots.len());
+    for &i in slots {
+        for sign in [h, -h] {
+            let mut w = weights.to_vec();
+            w[i] += sign;
+            shifted.push(w);
         }
-        Env::Noisy { exec, snapshot } => {
-            let day_stream = snapshot.day as u64;
-            let mut shifted: Vec<Vec<f64>> = Vec::with_capacity(2 * slots.len());
-            for &i in slots {
-                for sign in [h, -h] {
-                    let mut w = weights.to_vec();
-                    w[i] += sign;
-                    shifted.push(w);
-                }
-            }
-            let stride = 1 + 2 * slots.len();
-            let mut probes = ProbeBatch::with_capacity(batch.len() * stride);
-            for (sp, s) in batch.iter().enumerate() {
-                probes.push(
-                    &s.features,
-                    weights,
-                    eval_stream(probe_stream(day_stream, step, 0), sp as u64),
-                );
-                for (t, &i) in slots.iter().enumerate() {
-                    probes.push(
-                        &s.features,
-                        &shifted[2 * t],
-                        eval_stream(probe_stream(day_stream, step, 1 + 2 * i as u64), sp as u64),
-                    );
-                    probes.push(
-                        &s.features,
-                        &shifted[2 * t + 1],
-                        eval_stream(probe_stream(day_stream, step, 2 + 2 * i as u64), sp as u64),
-                    );
-                }
-            }
-            let scores = exec.evaluate_probes(snapshot, &probes, threads);
-            for (sp, s) in batch.iter().enumerate() {
-                base_sum += cross_entropy(&scores[sp * stride], s.label);
-                for t in 0..slots.len() {
-                    fp_sum[t] += cross_entropy(&scores[sp * stride + 1 + 2 * t], s.label);
-                    fm_sum[t] += cross_entropy(&scores[sp * stride + 2 + 2 * t], s.label);
-                }
-            }
+    }
+    let stride = 1 + 2 * slots.len();
+    let mut probes = ProbeBatch::with_capacity(batch.len() * stride);
+    for (sp, s) in batch.iter().enumerate() {
+        probes.push(
+            &s.features,
+            weights,
+            eval_stream(probe_stream(day_stream, step, 0), sp as u64),
+        );
+        for (t, &i) in slots.iter().enumerate() {
+            probes.push(
+                &s.features,
+                &shifted[2 * t],
+                eval_stream(probe_stream(day_stream, step, 1 + 2 * i as u64), sp as u64),
+            );
+            probes.push(
+                &s.features,
+                &shifted[2 * t + 1],
+                eval_stream(probe_stream(day_stream, step, 2 + 2 * i as u64), sp as u64),
+            );
+        }
+    }
+    let scores = exec.evaluate_probes(snapshot, &probes, threads);
+    for (sp, s) in batch.iter().enumerate() {
+        base_sum += cross_entropy(&scores[sp * stride], s.label);
+        for t in 0..slots.len() {
+            fp_sum[t] += cross_entropy(&scores[sp * stride + 1 + 2 * t], s.label);
+            fm_sum[t] += cross_entropy(&scores[sp * stride + 2 + 2 * t], s.label);
         }
     }
     let mut grad = vec![0.0; weights.len()];

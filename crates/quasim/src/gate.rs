@@ -282,7 +282,10 @@ impl std::fmt::Display for GateKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundGate {
     kind: GateKind,
-    qubits: Vec<usize>,
+    /// Operands stored inline (no heap allocation per bound gate); only the
+    /// first `kind.arity()` are meaningful, and the unused slot of a
+    /// one-qubit gate is always 0 so derived equality stays exact.
+    qubits: [usize; 2],
     theta: f64,
 }
 
@@ -296,7 +299,7 @@ impl BoundGate {
         assert_eq!(kind.arity(), 1, "{kind} is not a one-qubit gate");
         BoundGate {
             kind,
-            qubits: vec![qubit],
+            qubits: [qubit, 0],
             theta,
         }
     }
@@ -312,7 +315,7 @@ impl BoundGate {
         assert_ne!(a, b, "two-qubit gate requires distinct qubits");
         BoundGate {
             kind,
-            qubits: vec![a, b],
+            qubits: [a, b],
             theta,
         }
     }
@@ -324,7 +327,7 @@ impl BoundGate {
 
     /// Target qubit indices (control first for controlled gates).
     pub fn qubits(&self) -> &[usize] {
-        &self.qubits
+        &self.qubits[..self.kind.arity()]
     }
 
     /// The bound rotation angle (0 for fixed gates).
@@ -336,36 +339,60 @@ impl BoundGate {
     pub fn matrix(&self) -> CMatrix {
         self.kind.matrix(self.theta)
     }
+
+    /// The unitary entries of this bound gate, computed on the stack
+    /// (bit-identical to [`BoundGate::matrix`]).
+    pub fn entries(&self) -> GateEntries {
+        match self.kind.arity() {
+            1 => GateEntries::One(self.kind.entries_1q(self.theta).expect("one-qubit kind")),
+            _ => GateEntries::Two(self.kind.entries_2q(self.theta).expect("two-qubit kind")),
+        }
+    }
 }
+
+/// A gate's unitary entries bound on the stack, row-major — what
+/// [`crate::statevector::StateVector`] applies. Binding once and applying
+/// many times skips the trig and the heap allocation of
+/// [`BoundGate::matrix`] on every application.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum GateEntries {
+    /// A one-qubit gate's 2×2 entries.
+    One(M2),
+    /// A two-qubit gate's 4×4 entries (control on the most significant
+    /// local bit).
+    Two(M4),
+}
+
+/// Every gate kind, for exhaustive tests.
+#[cfg(test)]
+pub(crate) const ALL_KINDS: [GateKind; 17] = [
+    GateKind::X,
+    GateKind::Y,
+    GateKind::Z,
+    GateKind::H,
+    GateKind::S,
+    GateKind::T,
+    GateKind::Sx,
+    GateKind::Rx,
+    GateKind::Ry,
+    GateKind::Rz,
+    GateKind::Phase,
+    GateKind::Cx,
+    GateKind::Cz,
+    GateKind::Crx,
+    GateKind::Cry,
+    GateKind::Crz,
+    GateKind::Swap,
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::f64::consts::PI;
 
-    const ALL: [GateKind; 17] = [
-        GateKind::X,
-        GateKind::Y,
-        GateKind::Z,
-        GateKind::H,
-        GateKind::S,
-        GateKind::T,
-        GateKind::Sx,
-        GateKind::Rx,
-        GateKind::Ry,
-        GateKind::Rz,
-        GateKind::Phase,
-        GateKind::Cx,
-        GateKind::Cz,
-        GateKind::Crx,
-        GateKind::Cry,
-        GateKind::Crz,
-        GateKind::Swap,
-    ];
-
     #[test]
     fn all_gates_are_unitary() {
-        for kind in ALL {
+        for kind in ALL_KINDS {
             for &theta in &[0.0, 0.3, PI / 2.0, PI, 4.2] {
                 assert!(
                     kind.matrix(theta).is_unitary(1e-12),
@@ -431,7 +458,7 @@ mod tests {
 
     #[test]
     fn arity_matches_matrix_dim() {
-        for kind in ALL {
+        for kind in ALL_KINDS {
             let dim = kind.matrix(0.1).dim();
             assert_eq!(dim, 1 << kind.arity());
         }

@@ -5,10 +5,8 @@
 //! `q`** (qubit 0 = least significant bit). Two-qubit gates use the local
 //! index `control*2 + target`, matching [`crate::gate::GateKind::matrix`].
 
-use crate::gate::BoundGate;
-#[cfg(test)]
-use crate::gate::GateKind;
-use crate::math::{CMatrix, Complex64};
+use crate::gate::{BoundGate, GateEntries};
+use crate::math::{Complex64, M2, M4};
 
 /// A pure quantum state over `n` qubits.
 ///
@@ -77,71 +75,77 @@ impl StateVector {
         &self.amps
     }
 
-    /// Applies a bound gate in place.
+    /// Applies a bound gate in place, binding its entries on the stack.
     ///
     /// # Panics
     ///
     /// Panics if any qubit index is out of range.
     pub fn apply(&mut self, gate: &BoundGate) {
-        match gate.kind().arity() {
-            1 => self.apply_1q(&gate.matrix(), gate.qubits()[0]),
-            _ => self.apply_2q(&gate.matrix(), gate.qubits()[0], gate.qubits()[1]),
-        }
+        self.apply_entries(&gate.entries(), gate.qubits());
     }
 
-    /// Applies a 2×2 unitary to qubit `q`.
+    /// Applies prebound gate entries to `qubits` (control first for
+    /// two-qubit entries) — the replay path of callers that bind a circuit
+    /// once and apply it many times.
     ///
     /// # Panics
     ///
-    /// Panics if `q` is out of range or `u` is not 2×2.
-    pub fn apply_1q(&mut self, u: &CMatrix, q: usize) {
+    /// Panics if `qubits` is shorter than the entries' arity or any index
+    /// is out of range.
+    pub fn apply_entries(&mut self, u: &GateEntries, qubits: &[usize]) {
+        match u {
+            GateEntries::One(m) => self.apply_1q(m, qubits[0]),
+            GateEntries::Two(m) => self.apply_2q(m, qubits[0], qubits[1]),
+        }
+    }
+
+    /// Applies a 2×2 unitary (row-major entries) to qubit `q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is out of range.
+    pub fn apply_1q(&mut self, u: &M2, q: usize) {
         assert!(q < self.n_qubits, "qubit {q} out of range");
-        assert_eq!(u.dim(), 2, "expected a 2x2 matrix");
-        let mask = 1usize << q;
-        let (u00, u01, u10, u11) = (u[(0, 0)], u[(0, 1)], u[(1, 0)], u[(1, 1)]);
-        let dim = self.amps.len();
-        let mut i = 0usize;
-        while i < dim {
-            if i & mask == 0 {
-                let j = i | mask;
-                let a0 = self.amps[i];
-                let a1 = self.amps[j];
-                self.amps[i] = u00 * a0 + u01 * a1;
-                self.amps[j] = u10 * a0 + u11 * a1;
+        let half = 1usize << q;
+        let [u00, u01, u10, u11] = *u;
+        // Each block of `2·half` amplitudes holds `half` (|…0…⟩, |…1…⟩)
+        // pairs: the low half has bit `q` clear, the high half set.
+        for block in self.amps.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            for (x0, x1) in lo.iter_mut().zip(hi.iter_mut()) {
+                let a0 = *x0;
+                let a1 = *x1;
+                *x0 = u00 * a0 + u01 * a1;
+                *x1 = u10 * a0 + u11 * a1;
             }
-            i += 1;
         }
     }
 
-    /// Applies a 4×4 unitary to qubits `(a, b)` where `a` maps to the most
-    /// significant local bit (control position for controlled gates).
+    /// Applies a 4×4 unitary (row-major entries) to qubits `(a, b)` where
+    /// `a` maps to the most significant local bit (control position for
+    /// controlled gates).
     ///
     /// # Panics
     ///
-    /// Panics if indices are out of range, equal, or `u` is not 4×4.
-    pub fn apply_2q(&mut self, u: &CMatrix, a: usize, b: usize) {
+    /// Panics if indices are out of range or equal.
+    pub fn apply_2q(&mut self, u: &M4, a: usize, b: usize) {
         assert!(a < self.n_qubits && b < self.n_qubits, "qubit out of range");
         assert_ne!(a, b, "qubits must be distinct");
-        assert_eq!(u.dim(), 4, "expected a 4x4 matrix");
         let ma = 1usize << a;
         let mb = 1usize << b;
-        let dim = self.amps.len();
-        for i in 0..dim {
-            if i & ma == 0 && i & mb == 0 {
-                let idx = [i, i | mb, i | ma, i | ma | mb];
-                let old = [
-                    self.amps[idx[0]],
-                    self.amps[idx[1]],
-                    self.amps[idx[2]],
-                    self.amps[idx[3]],
-                ];
-                for r in 0..4 {
-                    let mut acc = Complex64::ZERO;
-                    for c in 0..4 {
-                        acc += u[(r, c)] * old[c];
-                    }
-                    self.amps[idx[r]] = acc;
+        let (lo, hi) = (a.min(b), a.max(b));
+        // Enumerate exactly the indices with bits `a` and `b` clear by
+        // inserting two zero bits into a quarter-size counter.
+        for k in 0..self.amps.len() >> 2 {
+            let i = insert_zero_bit(insert_zero_bit(k, lo), hi);
+            let idx = [i, i | mb, i | ma, i | ma | mb];
+            let old = idx.map(|j| self.amps[j]);
+            for r in 0..4 {
+                let mut acc = Complex64::ZERO;
+                for c in 0..4 {
+                    acc += u[r * 4 + c] * old[c];
                 }
+                self.amps[idx[r]] = acc;
             }
         }
     }
@@ -204,6 +208,12 @@ impl StateVector {
     }
 }
 
+/// `x` with a zero bit inserted at position `p` (higher bits shift up).
+fn insert_zero_bit(x: usize, p: usize) -> usize {
+    let low = x & ((1 << p) - 1);
+    ((x >> p) << (p + 1)) | low
+}
+
 /// Runs `gates` on `|0…0⟩` and returns the final state.
 ///
 /// # Examples
@@ -224,7 +234,97 @@ pub fn run_circuit(n_qubits: usize, gates: &[BoundGate]) -> StateVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{GateKind, ALL_KINDS};
+    use crate::math::CMatrix;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::f64::consts::PI;
+
+    /// Reference 2×2 kernel over a heap [`CMatrix`] — the pre-stack-entries
+    /// implementation, kept as the bit-identity oracle for
+    /// [`StateVector::apply_1q`].
+    fn oracle_apply_1q(amps: &mut [Complex64], u: &CMatrix, q: usize) {
+        let mask = 1usize << q;
+        let (u00, u01, u10, u11) = (u[(0, 0)], u[(0, 1)], u[(1, 0)], u[(1, 1)]);
+        for i in 0..amps.len() {
+            if i & mask == 0 {
+                let j = i | mask;
+                let a0 = amps[i];
+                let a1 = amps[j];
+                amps[i] = u00 * a0 + u01 * a1;
+                amps[j] = u10 * a0 + u11 * a1;
+            }
+        }
+    }
+
+    /// Reference 4×4 kernel over a heap [`CMatrix`]; the oracle for
+    /// [`StateVector::apply_2q`].
+    fn oracle_apply_2q(amps: &mut [Complex64], u: &CMatrix, a: usize, b: usize) {
+        let ma = 1usize << a;
+        let mb = 1usize << b;
+        for i in 0..amps.len() {
+            if i & ma == 0 && i & mb == 0 {
+                let idx = [i, i | mb, i | ma, i | ma | mb];
+                let old = [amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]];
+                for r in 0..4 {
+                    let mut acc = Complex64::ZERO;
+                    for c in 0..4 {
+                        acc += u[(r, c)] * old[c];
+                    }
+                    amps[idx[r]] = acc;
+                }
+            }
+        }
+    }
+
+    fn random_state(rng: &mut StdRng, n: usize) -> StateVector {
+        let mut amps: Vec<Complex64> = (0..1usize << n)
+            .map(|_| Complex64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+            .collect();
+        let norm = amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
+        for a in &mut amps {
+            *a = Complex64::new(a.re / norm, a.im / norm);
+        }
+        StateVector::from_amplitudes(amps)
+    }
+
+    #[test]
+    fn stack_kernels_match_cmatrix_oracle_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let n = 4;
+        for kind in ALL_KINDS {
+            for _ in 0..4 {
+                let theta = (rng.gen::<f64>() - 0.5) * 4.0 * PI;
+                for a in 0..n {
+                    for b in 0..n {
+                        if (kind.arity() == 1 && b > 0) || (kind.arity() == 2 && a == b) {
+                            continue;
+                        }
+                        let gate = match kind.arity() {
+                            1 => BoundGate::one(kind, a, theta),
+                            _ => BoundGate::two(kind, a, b, theta),
+                        };
+                        let start = random_state(&mut rng, n);
+                        let mut got = start.clone();
+                        got.apply(&gate);
+                        let mut want = start.amps;
+                        match kind.arity() {
+                            1 => oracle_apply_1q(&mut want, &gate.matrix(), a),
+                            _ => oracle_apply_2q(&mut want, &gate.matrix(), a, b),
+                        }
+                        for (i, (x, y)) in got.amps.iter().zip(want.iter()).enumerate() {
+                            assert!(
+                                x.re.to_bits() == y.re.to_bits()
+                                    && x.im.to_bits() == y.im.to_bits(),
+                                "{kind}({theta}) on {:?}, amp {i}: {x:?} vs {y:?}",
+                                gate.qubits()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn g1(kind: GateKind, q: usize, t: f64) -> BoundGate {
         BoundGate::one(kind, q, t)
