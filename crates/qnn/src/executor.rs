@@ -67,12 +67,14 @@ use crate::model::VqcModel;
 use calibration::snapshot::CalibrationSnapshot;
 use calibration::topology::Topology;
 use quasim::density::{DensityMatrix, SimWorkspace, MAX_DENSITY_QUBITS};
+use quasim::fused::FusedProgram;
 use quasim::statevector::StateVector;
 use quasim::trajectory::{
     estimate_prob_one_panel, estimate_prob_one_panel_multi, panel_width_from_env,
     TrajectoryEstimate, TrajectoryPanel,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 use transpile::expand::{expand, NativeCircuit, NativeOp, ANGLE_TOL};
 use transpile::fuse::{fuse_native_compacted, fuse_native_trajectory, QubitCompaction};
 use transpile::route::{route, PhysicalCircuit};
@@ -258,10 +260,13 @@ struct CachedStructure {
 }
 
 /// One resident cache entry plus the generation of its last touch, the
-/// staleness signal [`ProgramCache::evict_stale`] keys on.
+/// staleness signal [`ProgramCache::evict_stale`] keys on. Entries are
+/// immutable and shared: a lookup hands out a clone of the `Arc`, never a
+/// copy of the template, so the cache lock is held only for the map
+/// operation.
 #[derive(Debug, Clone)]
 struct CacheSlot {
-    cached: CachedStructure,
+    cached: Arc<CachedStructure>,
     touched: u64,
 }
 
@@ -364,7 +369,7 @@ impl ProgramCacheHandle {
 
     /// Looks `key` up, ticking the logical clock and the hit/miss
     /// counters; a hit refreshes the slot's touch generation.
-    fn lookup(&self, key: &StructureKey) -> Option<CachedStructure> {
+    fn lookup(&self, key: &StructureKey) -> Option<Arc<CachedStructure>> {
         let mut cache = self.lock();
         cache.tick();
         let generation = cache.generation;
@@ -386,7 +391,8 @@ impl ProgramCacheHandle {
     /// contract); if the cache is at capacity with no stale entries,
     /// admission is denied and the caller's own compile is returned
     /// uncached.
-    fn admit(&self, key: StructureKey, cached: CachedStructure) -> CachedStructure {
+    fn admit(&self, key: StructureKey, cached: CachedStructure) -> Arc<CachedStructure> {
+        let cached = Arc::new(cached);
         let mut cache = self.lock();
         let cache = &mut *cache;
         if let Some(slot) = cache.entries.get(&key) {
@@ -627,18 +633,19 @@ impl NoisyExecutor {
     /// Bit-identical to [`Self::retranspile`] by the template contract
     /// (equal keys → value-identical simplified circuits → identical
     /// routing), which the `rebind_identity` property tests enforce.
-    fn native_at(&self, full: &[f64]) -> (NativeCircuit, QubitCompaction) {
-        let entry = self.structure_at(full);
-        (entry.template.bind(full), entry.compaction)
+    fn native_at(&self, full: &[f64]) -> (NativeCircuit, Arc<CachedStructure>) {
+        let key = structure_key(self.model.circuit(), full, ANGLE_TOL);
+        let entry = self.structure_of(key, full);
+        (entry.template.bind(full), entry)
     }
 
-    /// The cached structure (template + compaction) of a parameter vector:
-    /// the group-level entry point of [`Self::evaluate_probes`], which
-    /// fetches one structure per probe *group* and re-binds it per probe
-    /// through [`CircuitTemplate::bind_batch`]. Counts one cache hit or
-    /// miss per call — i.e. per structure group, not per probe.
-    fn structure_at(&self, full: &[f64]) -> CachedStructure {
-        let key = structure_key(self.model.circuit(), full, ANGLE_TOL);
+    /// The cached structure (template + compaction) of a parameter vector
+    /// whose structure key is `key`: the group-level entry point of
+    /// [`Self::evaluate_probes`], which fetches one structure per probe
+    /// *group* and re-binds it per probe through
+    /// [`CircuitTemplate::bind_batch`]. Counts one cache hit or miss per
+    /// call — i.e. per structure group, not per probe.
+    fn structure_of(&self, key: StructureKey, full: &[f64]) -> Arc<CachedStructure> {
         if let Some(entry) = self.cache.lookup(&key) {
             // Rebind-boundary invariant check: the cached template's key
             // must equal the bound vector's — binding across structures
@@ -752,27 +759,28 @@ impl NoisyExecutor {
         features: &[f64],
         weights: &[f64],
         snapshot: &CalibrationSnapshot,
-    ) -> (NativeCircuit, QubitCompaction, quasim::fused::FusedProgram) {
+    ) -> (NativeCircuit, Arc<CachedStructure>, FusedProgram) {
         assert_eq!(
             snapshot.n_qubits(),
             self.topology.n_qubits(),
             "snapshot does not match device"
         );
         let full = self.model.full_params(features, weights);
-        let (native, compaction) = self.native_at(&full);
+        let (native, entry) = self.native_at(&full);
+        let compaction = &entry.compaction;
         // The trajectory backend additionally precomposes runs of
         // consecutive same-support unitaries at bind time (one matrix per
         // pass); the density path keeps the plain fusion so its pinned
         // fused-vs-unfused bit-identity is untouched.
         let program = match self.options.backend {
             SimBackend::Density => {
-                fuse_native_compacted(&native, &compaction, |op| self.op_lambda(op, snapshot))
+                fuse_native_compacted(&native, compaction, |op| self.op_lambda(op, snapshot))
             }
             SimBackend::Trajectory => {
-                fuse_native_trajectory(&native, &compaction, |op| self.op_lambda(op, snapshot))
+                fuse_native_trajectory(&native, compaction, |op| self.op_lambda(op, snapshot))
             }
         };
-        (native, compaction, program)
+        (native, entry, program)
     }
 
     /// The compiled fused program for one evaluation plus the measured
@@ -788,9 +796,9 @@ impl NoisyExecutor {
         features: &[f64],
         weights: &[f64],
         snapshot: &CalibrationSnapshot,
-    ) -> (Vec<usize>, quasim::fused::FusedProgram) {
-        let (native, compaction, program) = self.compile(features, weights, snapshot);
-        (self.measured_compact(&native, &compaction), program)
+    ) -> (Vec<usize>, FusedProgram) {
+        let (native, entry, program) = self.compile(features, weights, snapshot);
+        (self.measured_compact(&native, &entry.compaction), program)
     }
 
     /// The measured qubits as compact register indices, in
@@ -818,7 +826,7 @@ impl NoisyExecutor {
         &self,
         native: &NativeCircuit,
         compaction: &QubitCompaction,
-        program: &quasim::fused::FusedProgram,
+        program: &FusedProgram,
         traj_seed: u64,
     ) -> TrajectoryEstimate {
         let measured = self.measured_compact(native, compaction);
@@ -845,10 +853,10 @@ impl NoisyExecutor {
         // Both backends execute the same compiled program on their
         // reusable per-executor workspace — the whole simulation allocates
         // nothing beyond the program itself.
-        let (native, compaction, program) = self.compile(features, weights, snapshot);
+        let (native, entry, program) = self.compile(features, weights, snapshot);
         self.run_compiled(
             &native,
-            &compaction,
+            &entry.compaction,
             &program,
             snapshot,
             shot_rng,
@@ -864,20 +872,14 @@ impl NoisyExecutor {
         &self,
         native: &NativeCircuit,
         compaction: &QubitCompaction,
-        program: &quasim::fused::FusedProgram,
+        program: &FusedProgram,
         snapshot: &CalibrationSnapshot,
         shot_rng: &mut rand::rngs::StdRng,
         traj_seed: u64,
     ) -> Vec<f64> {
         match self.options.backend {
             SimBackend::Density => {
-                assert!(
-                    compaction.n_active() <= MAX_DENSITY_QUBITS,
-                    "density backend supports at most {MAX_DENSITY_QUBITS} active qubits, \
-                     this circuit needs {}; switch to the trajectory backend \
-                     (QUCAD_BACKEND=trajectory or NoiseOptions::backend)",
-                    compaction.n_active()
-                );
+                assert_density_fits(compaction);
                 let mut ws = self.workspace.borrow_mut();
                 ws.reset_zero(compaction.n_active());
                 ws.run(program);
@@ -914,8 +916,9 @@ impl NoisyExecutor {
         snapshot: &CalibrationSnapshot,
         stream: u64,
     ) -> TrajectoryEstimate {
-        let (native, compaction, program) = self.compile(features, weights, snapshot);
-        let mut est = self.run_trajectories(&native, &compaction, &program, self.traj_seed(stream));
+        let (native, entry, program) = self.compile(features, weights, snapshot);
+        let mut est =
+            self.run_trajectories(&native, &entry.compaction, &program, self.traj_seed(stream));
         // Report physical qubit ids to the caller.
         est.qubits = self
             .model
@@ -986,28 +989,35 @@ impl NoisyExecutor {
         self.native_at(&full).0.length()
     }
 
-    /// Evaluates a whole [`ProbeBatch`] — the batched gradient engine.
+    /// Evaluates a whole [`ProbeBatch`] — the batched evaluation engine.
     ///
-    /// Probes are grouped by [`StructureKey`]; each group routes/simplifies
+    /// Probes are grouped by [`StructureKey`] (each probe's full parameter
+    /// vector and key are computed once); each group routes/simplifies
     /// **once** through the program cache ([`Self::cache_stats`] counts one
-    /// hit or miss per group) and re-binds per probe via
-    /// [`CircuitTemplate::bind_batch`] (linear expansion only). The density
-    /// backend then simulates each probe on the executor's reusable
-    /// [`SimWorkspace`] (one workspace per worker thread); the trajectory
-    /// backend packs probes that bind to bitwise-identical parameter
-    /// vectors into shared [`TrajectoryPanel`] sweeps
-    /// ([`quasim::trajectory::estimate_prob_one_panel_multi`]). With
-    /// `threads > 1` contiguous probe chunks fan out through
-    /// [`parallel::map_chunks`], one executor clone (and so one
-    /// workspace/panel) per worker.
+    /// hit or miss per group, whatever `threads` is) and re-binds per probe
+    /// via [`CircuitTemplate::bind_batch`] (linear expansion only).
+    ///
+    /// The probes are then put in structure order — by group, and within a
+    /// group the probes on the same features next to each other (an SPSA
+    /// ± pair, a finite-difference sweep) — and contiguous chunks of that
+    /// order fan out through [`parallel::map_chunks`], one executor clone
+    /// (and so one workspace/panel) per worker. Each worker binds and fuses
+    /// its probes; then the density backend buckets the fused programs by
+    /// shape ([`FusedProgram::same_shape`]) and runs each bucket as the
+    /// lanes of one density panel ([`SimWorkspace::run_lanes`], 4 lanes at
+    /// a time, then 2, then 1), and the trajectory backend packs probes
+    /// that bind to bitwise-identical parameter vectors into shared
+    /// [`TrajectoryPanel`] sweeps
+    /// ([`quasim::trajectory::estimate_prob_one_panel_multi`]). Results
+    /// return by probe index.
     ///
     /// **Bit-identity contract**: element `i` of the result equals
     /// [`Self::z_scores_seeded`]`(probes[i].features, probes[i].weights,
     /// snapshot, probes[i].stream)` exactly — for either backend, any
-    /// `threads`, any panel width, and any cache warmth. The training
-    /// loops in [`crate::train`] rely on this to stay bit-identical to
-    /// their retained sequential references (see the `training_path`
-    /// property tests).
+    /// `threads`, any lane or panel width, and any cache warmth. The
+    /// training loops in [`crate::train`] rely on this to stay
+    /// bit-identical to their retained sequential references (see the
+    /// `training_path` property tests).
     ///
     /// # Panics
     ///
@@ -1018,118 +1028,180 @@ impl NoisyExecutor {
         batch: &ProbeBatch<'_>,
         threads: usize,
     ) -> Vec<Vec<f64>> {
-        let probes = batch.probes();
-        // Contiguous probe chunks, one per worker: results are keyed by
-        // probe index and every probe's noise comes from its own stream,
-        // so the fan-out cannot change bits.
-        parallel::map_chunks(self, probes.len(), threads, |exec, range| {
-            exec.evaluate_probes_sequential(snapshot, &probes[range])
-        })
-    }
-
-    /// Single-threaded core of [`Self::evaluate_probes`]: group by
-    /// structure, compile once per group, evaluate probes in input order
-    /// within each group.
-    fn evaluate_probes_sequential(
-        &self,
-        snapshot: &CalibrationSnapshot,
-        probes: &[ProbeRequest<'_>],
-    ) -> Vec<Vec<f64>> {
-        use rand::SeedableRng;
         assert_eq!(
             snapshot.n_qubits(),
             self.topology.n_qubits(),
             "snapshot does not match device"
         );
+        let probes = batch.probes();
         let fulls: Vec<Vec<f64>> = probes
             .iter()
             .map(|p| self.model.full_params(p.features, p.weights))
             .collect();
-        // Group probe indices by structure key in first-appearance order.
+        // Group probes by structure key in first-appearance order, one
+        // cache lookup per group.
         let mut group_of: HashMap<StructureKey, usize> = HashMap::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (i, full) in fulls.iter().enumerate() {
-            let key = structure_key(self.model.circuit(), full, ANGLE_TOL);
-            let g = *group_of.entry(key).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[g].push(i);
-        }
+        let mut entries: Vec<Arc<CachedStructure>> = Vec::new();
+        let group: Vec<usize> = fulls
+            .iter()
+            .map(|full| {
+                let key = structure_key(self.model.circuit(), full, ANGLE_TOL);
+                if let Some(&g) = group_of.get(&key) {
+                    return g;
+                }
+                group_of.insert(key.clone(), entries.len());
+                entries.push(self.structure_of(key, full));
+                entries.len() - 1
+            })
+            .collect();
+        // Within a group, probes on bitwise-equal features (which fuse to
+        // programs of one shape) sit next to each other, so a chunk
+        // boundary rarely splits them.
+        let mut run_of: HashMap<Vec<u64>, usize> = HashMap::new();
+        let feature_run: Vec<usize> = probes
+            .iter()
+            .map(|p| {
+                let next = run_of.len();
+                *run_of
+                    .entry(p.features.iter().map(|x| x.to_bits()).collect())
+                    .or_insert(next)
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..probes.len()).collect();
+        order.sort_by_key(|&i| (group[i], feature_run[i]));
+        // Every probe's noise comes from its own stream and results are
+        // placed by probe index, so neither the order nor the fan-out can
+        // change bits.
+        let scores = parallel::map_chunks(self, order.len(), threads, |exec, range| {
+            let idxs = &order[range];
+            let mut out = Vec::with_capacity(idxs.len());
+            for run in idxs.chunk_by(|&a, &b| group[a] == group[b]) {
+                let entry = &entries[group[run[0]]];
+                out.extend(exec.evaluate_group(snapshot, probes, &fulls, entry, run));
+            }
+            out
+        });
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); probes.len()];
-        for idxs in &groups {
-            let entry = self.structure_at(&fulls[idxs[0]]);
-            match self.options.backend {
-                SimBackend::Density => {
-                    let thetas: Vec<&[f64]> = idxs.iter().map(|&i| fulls[i].as_slice()).collect();
-                    let natives =
-                        entry
-                            .template
-                            .bind_batch(self.model.circuit(), &thetas, ANGLE_TOL);
-                    for (&i, native) in idxs.iter().zip(natives.iter()) {
-                        let program = fuse_native_compacted(native, &entry.compaction, |op| {
+        for (&i, z) in order.iter().zip(scores) {
+            out[i] = z;
+        }
+        out
+    }
+
+    /// Scores of the probes `idxs` (all of structure `entry`), in `idxs`
+    /// order: the per-worker half of [`Self::evaluate_probes`].
+    fn evaluate_group(
+        &self,
+        snapshot: &CalibrationSnapshot,
+        probes: &[ProbeRequest<'_>],
+        fulls: &[Vec<f64>],
+        entry: &CachedStructure,
+        idxs: &[usize],
+    ) -> Vec<Vec<f64>> {
+        use rand::SeedableRng;
+        let shot_rng = |i: usize| {
+            rand::rngs::StdRng::seed_from_u64(mix_stream(self.options.shot_seed, probes[i].stream))
+        };
+        let mut out: Vec<Vec<f64>> = vec![Vec::new(); idxs.len()];
+        match self.options.backend {
+            SimBackend::Density => {
+                assert_density_fits(&entry.compaction);
+                let thetas: Vec<&[f64]> = idxs.iter().map(|&i| fulls[i].as_slice()).collect();
+                let natives = entry
+                    .template
+                    .bind_batch(self.model.circuit(), &thetas, ANGLE_TOL);
+                let programs: Vec<FusedProgram> = natives
+                    .iter()
+                    .map(|native| {
+                        fuse_native_compacted(native, &entry.compaction, |op| {
                             self.op_lambda(op, snapshot)
-                        });
-                        let mut rng = rand::rngs::StdRng::seed_from_u64(mix_stream(
-                            self.options.shot_seed,
-                            probes[i].stream,
-                        ));
-                        out[i] = self.run_compiled(
-                            native,
-                            &entry.compaction,
-                            &program,
-                            snapshot,
-                            &mut rng,
-                            0,
-                        );
+                        })
+                    })
+                    .collect();
+                // Bucket by shape in first-appearance order (fingerprints
+                // first, the full comparison only on a fingerprint match).
+                let prints: Vec<u64> = programs
+                    .iter()
+                    .map(FusedProgram::shape_fingerprint)
+                    .collect();
+                let mut buckets: Vec<Vec<usize>> = Vec::new();
+                for j in 0..programs.len() {
+                    let same = |b: &&mut Vec<usize>| {
+                        prints[b[0]] == prints[j] && programs[b[0]].same_shape(&programs[j])
+                    };
+                    match buckets.iter_mut().find(same) {
+                        Some(bucket) => bucket.push(j),
+                        None => buckets.push(vec![j]),
                     }
                 }
-                SimBackend::Trajectory => {
-                    // Probes whose parameter vectors are bitwise identical
-                    // compile (deterministically) to the same program, so
-                    // consecutive runs of them share one bind + fuse and
-                    // one multi-probe panel call; each probe still owns
-                    // its trajectory stream.
-                    let mut j = 0;
-                    while j < idxs.len() {
-                        let i0 = idxs[j];
-                        let mut k = j + 1;
-                        while k < idxs.len() && bits_equal(&fulls[idxs[k]], &fulls[i0]) {
-                            k += 1;
+                let max_lanes = SimWorkspace::max_lanes(entry.compaction.n_active());
+                let mut ws = self.workspace.borrow_mut();
+                for bucket in &buckets {
+                    let mut rest = bucket.as_slice();
+                    while !rest.is_empty() {
+                        let width = [4, 2, 1]
+                            .into_iter()
+                            .find(|&w| w <= max_lanes && w <= rest.len())
+                            .expect("width 1 always fits");
+                        let (lanes, tail) = rest.split_at(width);
+                        rest = tail;
+                        let lane_programs: Vec<&FusedProgram> =
+                            lanes.iter().map(|&j| &programs[j]).collect();
+                        ws.run_lanes(&lane_programs);
+                        for (lane, &j) in lanes.iter().enumerate() {
+                            out[j] = self.scores_from_probs(
+                                &natives[j],
+                                snapshot,
+                                &mut shot_rng(idxs[j]),
+                                |q| ws.prob_one_lane(lane, entry.compaction.compact(q)),
+                            );
                         }
-                        let native = entry.template.bind(&fulls[i0]);
-                        let program = fuse_native_trajectory(&native, &entry.compaction, |op| {
-                            self.op_lambda(op, snapshot)
-                        });
-                        let measured = self.measured_compact(&native, &entry.compaction);
-                        let width =
-                            panel_width_from_env(program.n_qubits(), self.options.trajectories);
-                        let seeds: Vec<u64> = idxs[j..k]
-                            .iter()
-                            .map(|&i| self.traj_seed(probes[i].stream))
-                            .collect();
-                        let ests = {
-                            let mut panel = self.traj_panel.borrow_mut();
-                            estimate_prob_one_panel_multi(
-                                &mut panel,
-                                &program,
-                                &measured,
-                                self.options.trajectories,
-                                &seeds,
-                                width,
-                            )
-                        };
-                        for (&i, est) in idxs[j..k].iter().zip(ests.iter()) {
-                            let mut rng = rand::rngs::StdRng::seed_from_u64(mix_stream(
-                                self.options.shot_seed,
-                                probes[i].stream,
-                            ));
-                            out[i] = self.scores_from_probs(&native, snapshot, &mut rng, |q| {
-                                est.p_one_of(entry.compaction.compact(q))
-                            });
-                        }
-                        j = k;
                     }
+                }
+            }
+            SimBackend::Trajectory => {
+                // Probes whose parameter vectors are bitwise identical
+                // compile (deterministically) to the same program, so
+                // consecutive runs of them share one bind + fuse and one
+                // multi-probe panel call; each probe still owns its
+                // trajectory stream.
+                let mut j = 0;
+                while j < idxs.len() {
+                    let i0 = idxs[j];
+                    let mut k = j + 1;
+                    while k < idxs.len() && bits_equal(&fulls[idxs[k]], &fulls[i0]) {
+                        k += 1;
+                    }
+                    let native = entry.template.bind(&fulls[i0]);
+                    let program = fuse_native_trajectory(&native, &entry.compaction, |op| {
+                        self.op_lambda(op, snapshot)
+                    });
+                    let measured = self.measured_compact(&native, &entry.compaction);
+                    let width = panel_width_from_env(program.n_qubits(), self.options.trajectories);
+                    let seeds: Vec<u64> = idxs[j..k]
+                        .iter()
+                        .map(|&i| self.traj_seed(probes[i].stream))
+                        .collect();
+                    let ests = {
+                        let mut panel = self.traj_panel.borrow_mut();
+                        estimate_prob_one_panel_multi(
+                            &mut panel,
+                            &program,
+                            &measured,
+                            self.options.trajectories,
+                            &seeds,
+                            width,
+                        )
+                    };
+                    for (slot, est) in (j..k).zip(ests.iter()) {
+                        out[slot] = self.scores_from_probs(
+                            &native,
+                            snapshot,
+                            &mut shot_rng(idxs[slot]),
+                            |q| est.p_one_of(entry.compaction.compact(q)),
+                        );
+                    }
+                    j = k;
                 }
             }
         }
@@ -1199,6 +1271,17 @@ impl<'a> ProbeBatch<'a> {
     }
 }
 
+/// Rejects a register too wide for the dense density-matrix engine.
+fn assert_density_fits(compaction: &QubitCompaction) {
+    assert!(
+        compaction.n_active() <= MAX_DENSITY_QUBITS,
+        "density backend supports at most {MAX_DENSITY_QUBITS} active qubits, \
+         this circuit needs {}; switch to the trajectory backend \
+         (QUCAD_BACKEND=trajectory or NoiseOptions::backend)",
+        compaction.n_active()
+    );
+}
+
 /// Bitwise slice equality (`f64::to_bits`), the comparison the trajectory
 /// probe packing uses to decide two probes compile to the same program —
 /// value equality would conflate `±0.0`, whose compiled programs can
@@ -1225,19 +1308,30 @@ pub mod parallel {
     //! The per-day evaluation loop of the QuCAD protocol — accuracy of one
     //! weight vector over the test set under one calibration snapshot —
     //! dominates experiment wall time: every sample is an independent dense
-    //! density-matrix simulation. The helpers here fan those independent
-    //! evaluations across OS threads while keeping results
-    //! **bit-identical to the sequential path**. Every fan-out in this
-    //! crate — [`batch_z_scores`], [`accuracy_over_days`],
-    //! [`NoisyExecutor::evaluate_probes`] and the noise-free gradient
-    //! sweeps of [`crate::probe::pure_fd_gradient`] — goes through one
-    //! helper, [`map_chunks`] (`std::thread::scope`; no external
-    //! thread-pool dependency):
+    //! density-matrix simulation. The helpers here are thin probe-batch
+    //! builders: [`batch_z_scores`] turns the samples into a
+    //! [`ProbeBatch`] (sample `i` on stream [`eval_stream`]`(day_stream,
+    //! i)`) and hands it to [`NoisyExecutor::evaluate_probes`];
+    //! [`batch_accuracy`] and [`accuracy_over_days`] are built on it. An
+    //! evaluation therefore gets what every probe batch gets: one cache
+    //! lookup per structure group, and same-shape programs run as the
+    //! lanes of one density panel.
+    //!
+    //! Every fan-out in this crate — [`NoisyExecutor::evaluate_probes`],
+    //! the day-level fan-out of [`accuracy_over_days`] and the noise-free
+    //! gradient sweeps of [`crate::probe::pure_fd_gradient`] — goes through
+    //! one helper, [`map_chunks`] (`std::thread::scope`; no external
+    //! thread-pool dependency). `evaluate_probes` chunks its probes in
+    //! structure order (by structure group, probes on the same features
+    //! adjacent), so an SPSA ± pair or a sample's finite-difference sweep
+    //! lands on one worker and can share its lanes. Results stay
+    //! **bit-identical to the sequential path**:
     //!
     //! - every evaluation draws shot noise from its own stream, derived
-    //!   only from `(shot_seed, day_stream, sample index)` via
-    //!   [`NoisyExecutor::z_scores_seeded`] — never from execution order;
-    //! - results are written back by sample index, so ordering is
+    //!   only from `(shot_seed, stream)` — the stream
+    //!   [`NoisyExecutor::z_scores_seeded`] takes — never from execution
+    //!   order, lane, or chunk;
+    //! - results are written back by probe index, so ordering is
     //!   deterministic regardless of thread interleaving.
     //!
     //! Consequently `threads = 1` and `threads = N` produce the same bits,
@@ -1252,12 +1346,11 @@ pub mod parallel {
     //! [`std::thread::available_parallelism`].
     //!
     //! Each worker clones the executor once and with it one
-    //! [`quasim::density::SimWorkspace`], so density-matrix storage is
-    //! allocated **once per worker per run** and reset in place between
-    //! samples — the thread fan-out adds no per-sample allocation on top
-    //! of the fused simulation path.
+    //! [`quasim::density::SimWorkspace`], so density-matrix storage (and
+    //! the lane panels) is allocated **once per worker per run** and reset
+    //! in place between runs.
 
-    use super::NoisyExecutor;
+    use super::{NoisyExecutor, ProbeBatch};
     use crate::data::Sample;
     use crate::loss::{accuracy, predict};
     use calibration::snapshot::CalibrationSnapshot;
@@ -1303,8 +1396,9 @@ pub mod parallel {
         super::mix_stream(super::mix_stream(day_stream, step), slot)
     }
 
-    /// Per-sample `⟨Z⟩` scores of `samples` under `snapshot`, fanned over
-    /// `threads` scoped threads.
+    /// Per-sample `⟨Z⟩` scores of `samples` under `snapshot`: one
+    /// [`ProbeBatch`] through [`NoisyExecutor::evaluate_probes`] on
+    /// `threads` workers.
     ///
     /// Result `i` is always computed on stream
     /// `eval_stream(day_stream, i)`, so the output is bit-identical for
@@ -1318,20 +1412,11 @@ pub mod parallel {
         day_stream: u64,
         threads: usize,
     ) -> Vec<Vec<f64>> {
-        // Each worker owns a clone of the executor (its workspace and
-        // panel are not `Sync`).
-        map_chunks(exec, samples.len(), threads, |exec, range| {
-            range
-                .map(|i| {
-                    exec.z_scores_seeded(
-                        &samples[i].features,
-                        weights,
-                        snapshot,
-                        eval_stream(day_stream, i as u64),
-                    )
-                })
-                .collect()
-        })
+        let mut batch = ProbeBatch::with_capacity(samples.len());
+        for (i, s) in samples.iter().enumerate() {
+            batch.push(&s.features, weights, eval_stream(day_stream, i as u64));
+        }
+        exec.evaluate_probes(snapshot, &batch, threads)
     }
 
     /// Classification accuracy of `weights` on `samples` under `snapshot`,
@@ -1643,31 +1728,55 @@ mod tests {
     #[test]
     fn probe_batch_matches_seeded_evaluations_bitwise() {
         // Density with shots: every probe must reproduce its standalone
-        // seeded evaluation exactly, across structures and thread counts.
+        // seeded evaluation exactly, across structures, shapes, lane
+        // widths and thread counts.
         let model = VqcModel::paper_model(4, 4, 4, 1);
         let topo = Topology::ibm_belem();
         let exec = NoisyExecutor::new(&model, &topo, NoiseOptions::with_shots(1024, 17));
         let snap = CalibrationSnapshot::uniform(&topo, 0, 2e-3, 3e-2, 0.02);
-        let features = [0.4, 0.9, 1.3, 0.2];
+        let f_a = [0.4, 0.9, 1.3, 0.2];
+        let f_b = [1.7, 0.3, 2.2, 0.8];
         let base = model.init_weights(5);
+        // Generic-angle nudges of `base` keep its structure and its fused
+        // shape, like SPSA ± probes.
+        let nudged: Vec<Vec<f64>> = (1..=6)
+            .map(|k| base.iter().map(|w| w + 0.01 * k as f64).collect())
+            .collect();
         let mut compressed = base.clone();
         compressed[2] = 0.0; // second structure: identity-crossing probe
+        let mut probes: Vec<(&[f64], &[f64])> = vec![(&f_a, &base)];
+        probes.extend(nudged.iter().map(|w| (&f_a[..], w.as_slice())));
+        probes.extend([
+            (&f_b[..], base.as_slice()),
+            (&f_a, &compressed),
+            (&f_b, &nudged[0]),
+            (&f_a, &compressed),
+            (&f_b, &nudged[1]),
+            (&f_b, &compressed),
+        ]);
+        let shape = |(f, w): (&[f64], &[f64])| exec.compile_program(f, w, &snap).1;
+        let bucket = |first: usize| {
+            let of = shape(probes[first]);
+            probes.iter().filter(|&&p| shape(p).same_shape(&of)).count()
+        };
+        // One thread sees two shape buckets: 10 probes of `base`'s
+        // structure (4 + 4 + 2 lanes) and 3 compressed ones (2 + 1).
+        assert_eq!(bucket(0), 10);
+        assert_eq!(bucket(8), 3);
         let mut batch = ProbeBatch::new();
-        for (s, w) in [&base, &compressed, &base, &base, &compressed]
-            .iter()
-            .enumerate()
-        {
-            batch.push(&features, w, s as u64);
+        for (s, &(f, w)) in probes.iter().enumerate() {
+            batch.push(f, w, s as u64);
         }
         let want: Vec<Vec<f64>> = batch
             .probes()
             .iter()
             .map(|p| exec.z_scores_seeded(p.features, p.weights, &snap, p.stream))
             .collect();
-        for threads in [1usize, 3] {
+        for threads in [1usize, 2, 3, 16] {
             let got = exec.evaluate_probes(&snap, &batch, threads);
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(want.iter()) {
+                assert_eq!(g.len(), w.len());
                 for (a, b) in g.iter().zip(w.iter()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "threads {threads}");
                 }

@@ -14,13 +14,17 @@
 //! heap allocation**. Runs of operations sharing a support can be collapsed
 //! into a single pass via [`crate::fused::FusedProgram`] /
 //! [`DensityMatrix::apply_fused`], and [`SimWorkspace`] makes the backing
-//! storage reusable across simulations.
+//! storage reusable across simulations. [`SimWorkspace::run_lanes`] runs
+//! up to four same-shape programs at once as the SIMD lanes of one panel,
+//! bit-identical to running each alone.
 
 use crate::fused::FusedProgram;
 use crate::gate::BoundGate;
-use crate::math::{CMatrix, Complex64, M2, M4};
+use crate::math::{CMatrix, Complex64};
 use crate::noise::{apply_readout_to_distribution, KrausChannel, ReadoutError};
 use crate::statevector::StateVector;
+use crate::trajectory::KernelMode;
+use kernels::CLane;
 
 /// Largest register the dense density-matrix engine accepts: `ρ` costs
 /// `4^n` complex entries, so 12 qubits (256 MiB) is the practical ceiling.
@@ -141,7 +145,11 @@ impl DensityMatrix {
     pub fn apply_unitary_1q(&mut self, u: &CMatrix, q: usize) {
         assert!(q < self.n_qubits, "qubit {q} out of range");
         let m = u.to_2x2().expect("expected a 2x2 matrix");
-        kernels::unitary_1q(&mut self.data, self.dim, &m, crate::fused::classify2(&m), q);
+        let class = crate::fused::classify2(&m);
+        let u = m.map(CLane::from);
+        kernels::walk_1q(&mut self.data[..], self.dim, q, |b| {
+            kernels::conj2(b, &u, class)
+        });
     }
 
     /// Applies a 4×4 unitary on qubits `(a, b)`: `ρ → UρU†`, one blocked
@@ -153,8 +161,10 @@ impl DensityMatrix {
     pub fn apply_unitary_2q(&mut self, u: &CMatrix, a: usize, b: usize) {
         assert!(a < self.n_qubits && b < self.n_qubits, "qubit out of range");
         assert_ne!(a, b, "qubits must be distinct");
-        let m = u.to_4x4().expect("expected a 4x4 matrix");
-        kernels::unitary_2q(&mut self.data, self.dim, &m, a, b);
+        let u = u.to_4x4().expect("expected a 4x4 matrix").map(CLane::from);
+        kernels::walk_2q(&mut self.data[..], self.dim, a, b, |blk| {
+            kernels::conj4(blk, &u, kernels::IDENTITY_MAP);
+        });
     }
 
     /// Applies a Kraus channel on the given qubits: `ρ → Σ_k K_k ρ K_k†`.
@@ -178,22 +188,26 @@ impl DensityMatrix {
         let mut acc = vec![Complex64::ZERO; self.data.len()];
         match channel.arity() {
             1 => {
-                let ks: Vec<(M2, crate::fused::MatClass)> = channel
+                let ks: Vec<_> = channel
                     .kraus_ops()
                     .iter()
                     .map(|k| {
                         let m = k.to_2x2().expect("one-qubit Kraus operator");
-                        (m, crate::fused::classify2(&m))
+                        (m.map(CLane::from), crate::fused::classify2(&m))
                     })
                     .collect();
                 kernels::channel_accumulate_1q(&self.data, &mut acc, self.dim, &ks, qubits[0]);
             }
             _ => {
                 assert_ne!(qubits[0], qubits[1], "qubits must be distinct");
-                let ks: Vec<M4> = channel
+                let ks: Vec<_> = channel
                     .kraus_ops()
                     .iter()
-                    .map(|k| k.to_4x4().expect("two-qubit Kraus operator"))
+                    .map(|k| {
+                        k.to_4x4()
+                            .expect("two-qubit Kraus operator")
+                            .map(CLane::from)
+                    })
                     .collect();
                 kernels::channel_accumulate_2q(
                     &self.data, &mut acc, self.dim, &ks, qubits[0], qubits[1],
@@ -215,7 +229,9 @@ impl DensityMatrix {
             "qubit out of range"
         );
         assert_ne!(control, target, "qubits must be distinct");
-        kernels::cx(&mut self.data, self.dim, control, target);
+        kernels::walk_2q(&mut self.data[..], self.dim, control, target, |b| {
+            kernels::cx_block(b, true);
+        });
     }
 
     /// Fast closed-form one-qubit depolarising channel on qubit `q`:
@@ -234,7 +250,7 @@ impl DensityMatrix {
         if l == 0.0 {
             return;
         }
-        kernels::depol_1q(&mut self.data, self.dim, l, q);
+        kernels::walk_1q(&mut self.data[..], self.dim, q, |b| kernels::depol1(b, [l]));
     }
 
     /// Fast closed-form two-qubit depolarising channel on `(a, b)`:
@@ -253,7 +269,9 @@ impl DensityMatrix {
         if l == 0.0 {
             return;
         }
-        kernels::depol_2q(&mut self.data, self.dim, l, a, b);
+        kernels::walk_2q(&mut self.data[..], self.dim, a, b, |blk| {
+            kernels::depol2(blk, [l], kernels::IDENTITY_MAP);
+        });
     }
 
     /// Executes a fused program in place; bit-identical to applying the
@@ -358,6 +376,11 @@ impl DensityMatrix {
 /// the buffer only when the register grows) and
 /// [`SimWorkspace::run`] executes a [`FusedProgram`] on it.
 ///
+/// [`SimWorkspace::run_lanes`] runs up to four programs of one shape
+/// ([`FusedProgram::same_shape`]) at once, as the lanes of one density
+/// panel; each lane ends bit-identical to a [`SimWorkspace::run`] of its
+/// own program.
+///
 /// # Examples
 ///
 /// ```
@@ -376,18 +399,53 @@ impl DensityMatrix {
 ///     ws.run(&program);
 ///     assert!((ws.prob_one(1) - 0.5).abs() < 1e-12);
 /// }
+/// ws.run_lanes(&[&program, &program]);
+/// assert_eq!(ws.prob_one_lane(1, 1), ws.prob_one_lane(0, 1));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SimWorkspace {
     n_qubits: usize,
     dim: usize,
+    /// Lanes of the current state: 1 (in `rho`), 2 or 4 (in the panels).
+    width: usize,
     rho: Vec<Complex64>,
+    rho2: Vec<CLane<2>>,
+    rho4: Vec<CLane<4>>,
+    /// Which compilation of the lane runner executes (both give the same
+    /// bits; see [`KernelMode`]).
+    kernel: KernelMode,
+}
+
+impl Default for SimWorkspace {
+    fn default() -> Self {
+        SimWorkspace {
+            n_qubits: 0,
+            dim: 0,
+            width: 0,
+            rho: Vec::new(),
+            rho2: Vec::new(),
+            rho4: Vec::new(),
+            kernel: KernelMode::detect(),
+        }
+    }
 }
 
 impl SimWorkspace {
     /// Creates an empty workspace (no storage until the first reset).
     pub fn new() -> Self {
         SimWorkspace::default()
+    }
+
+    /// Most programs [`Self::run_lanes`] runs at once on an `n_qubits`
+    /// register: the widest of 4 or 2 lanes whose panel (`lanes · 4ⁿ ·
+    /// 16` bytes) fits the trajectory panel's streaming budget
+    /// ([`crate::trajectory::PANEL_BYTES_BUDGET`]), otherwise 1.
+    pub fn max_lanes(n_qubits: usize) -> usize {
+        let lane_bytes = (2 * std::mem::size_of::<f64>()) << (2 * n_qubits);
+        [4, 2]
+            .into_iter()
+            .find(|&lanes| lanes * lane_bytes <= crate::trajectory::PANEL_BYTES_BUDGET)
+            .unwrap_or(1)
     }
 
     /// Re-initialises the state to `|0…0⟩⟨0…0|` over `n_qubits`, reusing
@@ -397,16 +455,18 @@ impl SimWorkspace {
     ///
     /// Panics if `n_qubits` is 0 or greater than 12.
     pub fn reset_zero(&mut self, n_qubits: usize) {
+        self.set_register(n_qubits, 1);
+        reset_panel(&mut self.rho, self.dim, Complex64::ZERO, Complex64::ONE);
+    }
+
+    fn set_register(&mut self, n_qubits: usize, width: usize) {
         assert!(
             (1..=MAX_DENSITY_QUBITS).contains(&n_qubits),
             "unsupported qubit count"
         );
-        let dim = 1usize << n_qubits;
         self.n_qubits = n_qubits;
-        self.dim = dim;
-        self.rho.clear();
-        self.rho.resize(dim * dim, Complex64::ZERO);
-        self.rho[0] = Complex64::ONE;
+        self.dim = 1usize << n_qubits;
+        self.width = width;
     }
 
     /// Number of qubits of the current state (0 before the first reset).
@@ -419,19 +479,82 @@ impl SimWorkspace {
         self.dim
     }
 
+    /// The single-lane state behind [`Self::run`] and its readers.
+    fn single(&self) -> &[Complex64] {
+        assert_eq!(self.width, 1, "workspace holds lanes; reset it first");
+        &self.rho
+    }
+
     /// Executes a fused program in place.
     ///
     /// # Panics
     ///
     /// Panics if the program's qubit count differs from the workspace's
-    /// current register (reset first).
+    /// current register, or the workspace holds lanes (reset first).
     pub fn run(&mut self, program: &FusedProgram) {
         assert_eq!(
             program.n_qubits(),
             self.n_qubits,
             "program/workspace qubit count mismatch"
         );
-        program.run_on(&mut self.rho);
+        assert_eq!(self.width, 1, "workspace holds lanes; reset it first");
+        crate::fused::run_lanes(&mut self.rho[..], &[program], self.kernel);
+    }
+
+    /// Runs `programs` from `|0…0⟩⟨0…0|` as the lanes of one density
+    /// panel: lane `k` ends bit-identical to [`Self::reset_zero`] plus
+    /// [`Self::run`] of `programs[k]`. Read the lanes with
+    /// [`Self::prob_one_lane`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there are 1, 2 or 4 programs, no more than
+    /// [`Self::max_lanes`], all of `programs[0]`'s shape, on a register of
+    /// at most 12 qubits.
+    pub fn run_lanes(&mut self, programs: &[&FusedProgram]) {
+        let first = programs.first().expect("at least one lane");
+        let n = first.n_qubits();
+        assert!(
+            programs.len() <= Self::max_lanes(n),
+            "{} lanes exceed the {n}-qubit panel budget",
+            programs.len()
+        );
+        assert!(
+            programs.iter().all(|p| p.same_shape(first)),
+            "lane programs must share one shape"
+        );
+        self.set_register(n, programs.len());
+        match programs.len() {
+            1 => {
+                reset_panel(&mut self.rho, self.dim, Complex64::ZERO, Complex64::ONE);
+                crate::fused::run_lanes(&mut self.rho[..], &[*first], self.kernel);
+            }
+            2 => run_panel(&mut self.rho2, self.dim, programs, self.kernel),
+            4 => run_panel(&mut self.rho4, self.dim, programs, self.kernel),
+            n => panic!("lane count must be 1, 2 or 4, got {n}"),
+        }
+    }
+
+    /// Probability of measuring qubit `q` as `1` in lane `lane` of the
+    /// current state; bit-identical to [`DensityMatrix::prob_one`] on that
+    /// lane's state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` or `lane` is out of range.
+    pub fn prob_one_lane(&self, lane: usize, q: usize) -> f64 {
+        assert!(q < self.n_qubits, "qubit {q} out of range");
+        assert!(lane < self.width, "lane {lane} out of range");
+        let mask = 1usize << q;
+        let diag = |i: usize| {
+            let at = i * self.dim + i;
+            match self.width {
+                1 => self.rho[at].re,
+                2 => self.rho2[at].re[lane],
+                _ => self.rho4[at].re[lane],
+            }
+        };
+        (0..self.dim).filter(|i| i & mask != 0).map(diag).sum()
     }
 
     /// Probability of measuring qubit `q` as `1`; bit-identical to
@@ -439,44 +562,105 @@ impl SimWorkspace {
     ///
     /// # Panics
     ///
-    /// Panics if `q` is out of range.
+    /// Panics if `q` is out of range or the workspace holds lanes.
     pub fn prob_one(&self, q: usize) -> f64 {
-        assert!(q < self.n_qubits, "qubit {q} out of range");
-        let mask = 1usize << q;
-        (0..self.dim)
-            .filter(|i| i & mask != 0)
-            .map(|i| self.rho[i * self.dim + i].re)
-            .sum()
+        self.single();
+        self.prob_one_lane(0, q)
     }
 
     /// Diagonal of `ρ` as a classical probability distribution;
     /// bit-identical to [`DensityMatrix::probabilities`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workspace holds lanes.
     pub fn probabilities(&self) -> Vec<f64> {
-        (0..self.dim)
-            .map(|i| self.rho[i * self.dim + i].re)
-            .collect()
+        let rho = self.single();
+        (0..self.dim).map(|i| rho[i * self.dim + i].re).collect()
     }
 
     /// The flat row-major storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workspace holds lanes.
     pub fn rho(&self) -> &[Complex64] {
-        &self.rho
+        self.single()
     }
 
     /// Copies the current state into an owned [`DensityMatrix`] (for
     /// inspection and tests; the hot path never needs this).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workspace is uninitialised or holds lanes.
     pub fn to_density_matrix(&self) -> DensityMatrix {
+        self.single();
+        self.lane_density_matrix(0)
+    }
+
+    /// Copies lane `lane` of the current state into an owned
+    /// [`DensityMatrix`] (for inspection and tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workspace is uninitialised or `lane` is out of range.
+    pub fn lane_density_matrix(&self, lane: usize) -> DensityMatrix {
         assert!(self.n_qubits > 0, "workspace not initialised");
+        assert!(lane < self.width, "lane {lane} out of range");
+        let data = match self.width {
+            1 => self.rho.clone(),
+            2 => self.rho2.iter().map(|z| z.lane(lane)).collect(),
+            _ => self.rho4.iter().map(|z| z.lane(lane)).collect(),
+        };
         DensityMatrix {
             n_qubits: self.n_qubits,
             dim: self.dim,
-            data: self.rho.clone(),
+            data,
         }
     }
+
+    /// Overrides the kernel dispatch ([`KernelMode::detect`] by default) —
+    /// how the bit-identity proptests pin the plain compilation against
+    /// the AVX2 one on the same host.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mode` is [`KernelMode::Avx2`] on a host without AVX2.
+    pub fn set_kernel_mode(&mut self, mode: KernelMode) {
+        assert!(
+            mode == KernelMode::Scalar || KernelMode::avx2_supported(),
+            "AVX2 kernels requested on a host without AVX2"
+        );
+        self.kernel = mode;
+    }
+}
+
+/// Resets `buf` to `dim × dim` copies of `zero` with `one` at entry
+/// `(0, 0)`.
+fn reset_panel<T: Copy>(buf: &mut Vec<T>, dim: usize, zero: T, one: T) {
+    buf.clear();
+    buf.resize(dim * dim, zero);
+    buf[0] = one;
+}
+
+/// Resets a `B`-lane panel to `|0…0⟩⟨0…0|` in every lane and runs
+/// `programs` (one per lane) on it.
+fn run_panel<const B: usize>(
+    panel: &mut Vec<CLane<B>>,
+    dim: usize,
+    programs: &[&FusedProgram],
+    kernel: KernelMode,
+) {
+    let programs: &[&FusedProgram; B] = programs.try_into().expect("one program per lane");
+    reset_panel(panel, dim, CLane::ZERO, CLane::ONE);
+    crate::fused::run_lanes(&mut panel[..], programs, kernel);
 }
 
 pub(crate) mod kernels {
     //! Bit-twiddled block kernels shared by [`super::DensityMatrix`], the
-    //! Kraus-channel accumulator, and the fused-program runners.
+    //! Kraus-channel accumulator, and the fused-program lane runner
+    //! ([`crate::fused`]).
     //!
     //! Every kernel walks `ρ` in coupled blocks (2×2 for one-qubit support,
     //! 4×4 for two-qubit support), loading each block into registers once,
@@ -493,12 +677,192 @@ pub(crate) mod kernels {
     //!   expressions that skip the exactly-zero terms — about 2× fewer
     //!   floating-point operations on the dominant kernel.
     //!
-    //! Both the op-by-op [`super::DensityMatrix`] methods and the fused
-    //! segment runners call these same primitives, so fused execution stays
-    //! **bit-identical** to the unfused reference by construction.
+    //! # Lanes
+    //!
+    //! Every primitive is generic over a lane count `B`. An entry is a
+    //! [`CLane<B>`]: `B` real parts and `B` imaginary parts, lane `k`
+    //! belonging to the `k`-th of `B` independent density matrices, and
+    //! matrices and depolarising strengths are per-lane data too. A lane
+    //! panel stores `ρ` row-major with one `CLane<B>` per entry, so a block
+    //! load fetches the same entry of every lane at once and the lane
+    //! arithmetic maps onto SIMD registers.
+    //!
+    //! **Bit-identity.** Lane `k` of every lane operation is exactly the
+    //! scalar IEEE-754 operation [`Complex64`]'s arithmetic performs on lane
+    //! `k`'s operands, in the same association order and operand order (no
+    //! FMA, no cross-lane reduction), and the block walks ([`walk_1q`],
+    //! [`walk_2q`]) visit blocks in the same order at every width. A lane
+    //! therefore computes the very bits a width-1 run of its own program
+    //! computes. Width 1 over [`Complex64`] storage ([`LaneStore`]) is the
+    //! op-by-op [`super::DensityMatrix`] path; the fused runner runs one,
+    //! two or four same-shape programs as lanes. There is one copy of each
+    //! expression.
+
+    // Lane loops index several arrays in lockstep by lane.
+    #![allow(clippy::needless_range_loop)]
 
     use crate::fused::MatClass;
-    use crate::math::{Complex64, M2, M4};
+    use crate::math::Complex64;
+    use std::ops::{Add, AddAssign, Mul};
+
+    /// `B` complex numbers held as separate real and imaginary lane arrays.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(crate) struct CLane<const B: usize> {
+        pub(crate) re: [f64; B],
+        pub(crate) im: [f64; B],
+    }
+
+    /// A 2×2 block or 2×2 matrix of lanes, row-major. As a block the
+    /// layout is `[b(r0,c0), b(r0,c1), b(r1,c0), b(r1,c1)]` with
+    /// `r1 = r0 | mask`, `c1 = c0 | mask`.
+    pub(crate) type Lanes4<const B: usize> = [CLane<B>; 4];
+
+    /// A 4×4 block or 4×4 matrix of lanes, row-major (canonical index
+    /// `2·a_bit + b_bit`).
+    pub(crate) type Lanes16<const B: usize> = [CLane<B>; 16];
+
+    /// Quartet map of an atom whose qubit order matches its block.
+    pub(crate) const IDENTITY_MAP: [usize; 4] = [0, 1, 2, 3];
+
+    impl<const B: usize> CLane<B> {
+        pub(crate) const ZERO: Self = CLane {
+            re: [0.0; B],
+            im: [0.0; B],
+        };
+        pub(crate) const ONE: Self = CLane {
+            re: [1.0; B],
+            im: [0.0; B],
+        };
+
+        /// Gathers lane `k` from `f(k)`.
+        #[inline(always)]
+        pub(crate) fn gather(f: impl Fn(usize) -> Complex64) -> Self {
+            let mut out = Self::ZERO;
+            for k in 0..B {
+                let z = f(k);
+                out.re[k] = z.re;
+                out.im[k] = z.im;
+            }
+            out
+        }
+
+        /// Lane `k` as a scalar.
+        pub(crate) fn lane(self, k: usize) -> Complex64 {
+            Complex64::new(self.re[k], self.im[k])
+        }
+
+        /// Lane-wise [`Complex64::conj`].
+        #[inline(always)]
+        fn conj(self) -> Self {
+            let mut out = self;
+            for k in 0..B {
+                out.im[k] = -self.im[k];
+            }
+            out
+        }
+
+        /// Lane-wise `x · z` for a per-lane real `x`: `(x·re, x·im)`.
+        #[inline(always)]
+        fn real_times(x: [f64; B], z: Self) -> Self {
+            let mut out = z;
+            for k in 0..B {
+                out.re[k] = x[k] * z.re[k];
+                out.im[k] = x[k] * z.im[k];
+            }
+            out
+        }
+
+        /// Lane-wise [`Complex64::scale`] by a per-lane real.
+        #[inline(always)]
+        fn scale(self, s: [f64; B]) -> Self {
+            let mut out = self;
+            for k in 0..B {
+                out.re[k] = self.re[k] * s[k];
+                out.im[k] = self.im[k] * s[k];
+            }
+            out
+        }
+    }
+
+    impl<const B: usize> Add for CLane<B> {
+        type Output = Self;
+        #[inline(always)]
+        fn add(self, rhs: Self) -> Self {
+            let mut out = self;
+            for k in 0..B {
+                out.re[k] = self.re[k] + rhs.re[k];
+                out.im[k] = self.im[k] + rhs.im[k];
+            }
+            out
+        }
+    }
+
+    impl<const B: usize> AddAssign for CLane<B> {
+        #[inline(always)]
+        fn add_assign(&mut self, rhs: Self) {
+            for k in 0..B {
+                self.re[k] += rhs.re[k];
+                self.im[k] += rhs.im[k];
+            }
+        }
+    }
+
+    impl<const B: usize> Mul for CLane<B> {
+        type Output = Self;
+        /// Lane-wise [`Complex64`] multiplication, same expression.
+        #[inline(always)]
+        fn mul(self, rhs: Self) -> Self {
+            let mut out = self;
+            for k in 0..B {
+                out.re[k] = self.re[k] * rhs.re[k] - self.im[k] * rhs.im[k];
+                out.im[k] = self.re[k] * rhs.im[k] + self.im[k] * rhs.re[k];
+            }
+            out
+        }
+    }
+
+    impl From<Complex64> for CLane<1> {
+        #[inline(always)]
+        fn from(z: Complex64) -> Self {
+            CLane {
+                re: [z.re],
+                im: [z.im],
+            }
+        }
+    }
+
+    /// Flat row-major `ρ` storage whose entries a walk reads and writes
+    /// as `B` lanes: `[Complex64]` at width 1 (the
+    /// [`super::DensityMatrix`] and [`super::SimWorkspace`] layout), and a
+    /// lane panel `[CLane<B>]` at any width.
+    pub(crate) trait LaneStore<const B: usize> {
+        /// Entry `i`.
+        fn get(&self, i: usize) -> CLane<B>;
+        /// Overwrites entry `i`.
+        fn set(&mut self, i: usize, v: CLane<B>);
+    }
+
+    impl LaneStore<1> for [Complex64] {
+        #[inline(always)]
+        fn get(&self, i: usize) -> CLane<1> {
+            CLane::from(self[i])
+        }
+        #[inline(always)]
+        fn set(&mut self, i: usize, v: CLane<1>) {
+            self[i] = Complex64::new(v.re[0], v.im[0]);
+        }
+    }
+
+    impl<const B: usize> LaneStore<B> for [CLane<B>] {
+        #[inline(always)]
+        fn get(&self, i: usize) -> CLane<B> {
+            self[i]
+        }
+        #[inline(always)]
+        fn set(&mut self, i: usize, v: CLane<B>) {
+            self[i] = v;
+        }
+    }
 
     /// Spreads `k` by inserting a `0` bit at the position of the
     /// single-bit `mask`: enumerating `k = 0..dim/2` yields every index
@@ -511,12 +875,10 @@ pub(crate) mod kernels {
 
     /// Conjugates a 2×2 block: `B → U B U†`, dispatching on the matrix
     /// class (the specialised paths skip exactly-zero terms; any deviation
-    /// from the general path is confined to the sign of zeros).
-    ///
-    /// Block layout: `[b(r0,c0), b(r0,c1), b(r1,c0), b(r1,c1)]` with
-    /// `r1 = r0 | mask`, `c1 = c0 | mask`.
+    /// from the general path is confined to the sign of zeros). Every
+    /// lane's matrix must have the given class.
     #[inline(always)]
-    pub(crate) fn conj2(b: [Complex64; 4], u: &M2, class: MatClass) -> [Complex64; 4] {
+    pub(crate) fn conj2<const B: usize>(b: Lanes4<B>, u: &Lanes4<B>, class: MatClass) -> Lanes4<B> {
         match class {
             MatClass::General => conj2_general(b, u),
             MatClass::Real => conj2_real(b, u),
@@ -525,7 +887,7 @@ pub(crate) mod kernels {
     }
 
     #[inline(always)]
-    fn conj2_general(b: [Complex64; 4], u: &M2) -> [Complex64; 4] {
+    fn conj2_general<const B: usize>(b: Lanes4<B>, u: &Lanes4<B>) -> Lanes4<B> {
         let [u00, u01, u10, u11] = *u;
         // Left multiply (U B), columns independent.
         let t00 = u00 * b[0] + u01 * b[2];
@@ -544,9 +906,9 @@ pub(crate) mod kernels {
     /// Real unitary: `U† = Uᵀ` and every product is real×complex (two
     /// multiplies instead of a full complex multiply).
     #[inline(always)]
-    fn conj2_real(b: [Complex64; 4], u: &M2) -> [Complex64; 4] {
+    fn conj2_real<const B: usize>(b: Lanes4<B>, u: &Lanes4<B>) -> Lanes4<B> {
         let (u00, u01, u10, u11) = (u[0].re, u[1].re, u[2].re, u[3].re);
-        let rc = |x: f64, z: Complex64| Complex64::new(x * z.re, x * z.im);
+        let rc = CLane::real_times;
         let t00 = rc(u00, b[0]) + rc(u01, b[2]);
         let t01 = rc(u00, b[1]) + rc(u01, b[3]);
         let t10 = rc(u10, b[0]) + rc(u11, b[2]);
@@ -561,7 +923,7 @@ pub(crate) mod kernels {
 
     /// Diagonal unitary: rows scale by `u_rr`, columns by `conj(u_cc)`.
     #[inline(always)]
-    fn conj2_diag(b: [Complex64; 4], u: &M2) -> [Complex64; 4] {
+    fn conj2_diag<const B: usize>(b: Lanes4<B>, u: &Lanes4<B>) -> Lanes4<B> {
         let (u00, u11) = (u[0], u[3]);
         [
             (u00 * b[0]) * u00.conj(),
@@ -572,11 +934,15 @@ pub(crate) mod kernels {
     }
 
     /// One-qubit depolarising update of a 2×2 block (`l` pre-clamped,
-    /// non-zero).
+    /// non-zero, per lane).
     #[inline(always)]
-    pub(crate) fn depol1(b: [Complex64; 4], l: f64) -> [Complex64; 4] {
-        let keep = 1.0 - l;
-        let avg = (b[0] + b[3]).scale(0.5 * l);
+    pub(crate) fn depol1<const B: usize>(b: Lanes4<B>, l: [f64; B]) -> Lanes4<B> {
+        let (mut keep, mut half) = (l, l);
+        for k in 0..B {
+            keep[k] = 1.0 - l[k];
+            half[k] = 0.5 * l[k];
+        }
+        let avg = (b[0] + b[3]).scale(half);
         [
             b[0].scale(keep) + avg,
             b[1].scale(keep),
@@ -593,12 +959,12 @@ pub(crate) mod kernels {
     /// summation order — and therefore bits — identical to applying the op
     /// with its own qubit order.
     #[inline(always)]
-    pub(crate) fn conj4(b: &mut [Complex64; 16], u: &M4, map: [usize; 4]) {
+    pub(crate) fn conj4<const B: usize>(b: &mut Lanes16<B>, u: &Lanes16<B>, map: [usize; 4]) {
         // Left multiply, columns independent.
-        let mut t = [Complex64::ZERO; 16];
+        let mut t = [CLane::ZERO; 16];
         for c in 0..4 {
             for r in 0..4 {
-                let mut acc = Complex64::ZERO;
+                let mut acc = CLane::ZERO;
                 for k in 0..4 {
                     acc += u[r * 4 + k] * b[map[k] * 4 + c];
                 }
@@ -607,9 +973,9 @@ pub(crate) mod kernels {
         }
         // Right multiply by U†, rows independent.
         for r in 0..4 {
-            let mut row = [Complex64::ZERO; 4];
+            let mut row = [CLane::ZERO; 4];
             for (c, slot) in row.iter_mut().enumerate() {
-                let mut acc = Complex64::ZERO;
+                let mut acc = CLane::ZERO;
                 for k in 0..4 {
                     acc += t[r * 4 + map[k]] * u[c * 4 + k].conj();
                 }
@@ -622,16 +988,20 @@ pub(crate) mod kernels {
     }
 
     /// Two-qubit depolarising update of a 4×4 block (`l` pre-clamped,
-    /// non-zero); `map` as in [`conj4`].
+    /// non-zero, per lane); `map` as in [`conj4`].
     #[inline(always)]
-    pub(crate) fn depol2(b: &mut [Complex64; 16], l: f64, map: [usize; 4]) {
-        let keep = 1.0 - l;
+    pub(crate) fn depol2<const B: usize>(b: &mut Lanes16<B>, l: [f64; B], map: [usize; 4]) {
+        let (mut keep, mut quarter) = (l, l);
+        for k in 0..B {
+            keep[k] = 1.0 - l[k];
+            quarter[k] = 0.25 * l[k];
+        }
         // Partial trace over the block diagonal, in the op's own order.
-        let mut tr = Complex64::ZERO;
+        let mut tr = CLane::ZERO;
         for &m in &map {
             tr += b[m * 4 + m];
         }
-        let mix = tr.scale(0.25 * l);
+        let mix = tr.scale(quarter);
         for r in 0..4 {
             for c in 0..4 {
                 let idx = map[r] * 4 + map[c];
@@ -648,7 +1018,7 @@ pub(crate) mod kernels {
     /// is set (pure permutation). `control_is_a` selects which local bit is
     /// the control; canonical index = `2·a_bit + b_bit`.
     #[inline(always)]
-    pub(crate) fn cx_block(b: &mut [Complex64; 16], control_is_a: bool) {
+    pub(crate) fn cx_block<const B: usize>(b: &mut Lanes16<B>, control_is_a: bool) {
         let (x, y) = if control_is_a {
             (2usize, 3usize)
         } else {
@@ -665,63 +1035,62 @@ pub(crate) mod kernels {
     /// Loads the 2×2 block at row pair `(base0, base1)` × column pair
     /// `(c0, c1)`.
     #[inline(always)]
-    pub(crate) fn load2(
-        data: &[Complex64],
+    fn load2<const B: usize, S: LaneStore<B> + ?Sized>(
+        data: &S,
         base0: usize,
         base1: usize,
         c0: usize,
         c1: usize,
-    ) -> [Complex64; 4] {
+    ) -> Lanes4<B> {
         [
-            data[base0 + c0],
-            data[base0 + c1],
-            data[base1 + c0],
-            data[base1 + c1],
+            data.get(base0 + c0),
+            data.get(base0 + c1),
+            data.get(base1 + c0),
+            data.get(base1 + c1),
         ]
     }
 
     /// Stores a 2×2 block back.
     #[inline(always)]
-    pub(crate) fn store2(
-        data: &mut [Complex64],
+    fn store2<const B: usize, S: LaneStore<B> + ?Sized>(
+        data: &mut S,
         base0: usize,
         base1: usize,
         c0: usize,
         c1: usize,
-        blk: [Complex64; 4],
+        blk: Lanes4<B>,
     ) {
-        data[base0 + c0] = blk[0];
-        data[base0 + c1] = blk[1];
-        data[base1 + c0] = blk[2];
-        data[base1 + c1] = blk[3];
+        data.set(base0 + c0, blk[0]);
+        data.set(base0 + c1, blk[1]);
+        data.set(base1 + c0, blk[2]);
+        data.set(base1 + c1, blk[3]);
     }
 
     /// Stores the conjugate transpose of a 2×2 block into its Hermitian
     /// mirror position (rows ↔ columns).
     #[inline(always)]
-    pub(crate) fn store2_mirror(
-        data: &mut [Complex64],
+    fn store2_mirror<const B: usize, S: LaneStore<B> + ?Sized>(
+        data: &mut S,
         dim: usize,
-        r0: usize,
-        r1: usize,
-        c0: usize,
-        c1: usize,
-        blk: [Complex64; 4],
+        (r0, r1): (usize, usize),
+        (c0, c1): (usize, usize),
+        blk: Lanes4<B>,
     ) {
-        data[c0 * dim + r0] = blk[0].conj();
-        data[c0 * dim + r1] = blk[2].conj();
-        data[c1 * dim + r0] = blk[1].conj();
-        data[c1 * dim + r1] = blk[3].conj();
+        data.set(c0 * dim + r0, blk[0].conj());
+        data.set(c0 * dim + r1, blk[2].conj());
+        data.set(c1 * dim + r0, blk[1].conj());
+        data.set(c1 * dim + r1, blk[3].conj());
     }
 
-    /// `ρ → U ρ U†` for a 2×2 unitary on qubit `q`: one pass over the
-    /// upper block triangle, mirroring the lower half.
-    pub(crate) fn unitary_1q(
-        data: &mut [Complex64],
+    /// One pass applying `f` to every 2×2 block of qubit `q` on or above
+    /// the block diagonal, mirroring the lower half (Hermitian symmetry).
+    /// The one walk behind every one-qubit operation, fused or not.
+    #[inline(always)]
+    pub(crate) fn walk_1q<const B: usize, S: LaneStore<B> + ?Sized>(
+        data: &mut S,
         dim: usize,
-        u: &M2,
-        class: MatClass,
         q: usize,
+        mut f: impl FnMut(Lanes4<B>) -> Lanes4<B>,
     ) {
         let mask = 1usize << q;
         let half = dim >> 1;
@@ -730,35 +1099,14 @@ pub(crate) mod kernels {
             let r1 = r0 | mask;
             let (base0, base1) = (r0 * dim, r1 * dim);
             // Diagonal block: computed fully in place.
-            let blk = conj2(load2(data, base0, base1, r0, r1), u, class);
+            let blk = f(load2(data, base0, base1, r0, r1));
             store2(data, base0, base1, r0, r1, blk);
             for ck in rk + 1..half {
                 let c0 = insert_zero_bit(ck, mask);
                 let c1 = c0 | mask;
-                let blk = conj2(load2(data, base0, base1, c0, c1), u, class);
+                let blk = f(load2(data, base0, base1, c0, c1));
                 store2(data, base0, base1, c0, c1, blk);
-                store2_mirror(data, dim, r0, r1, c0, c1, blk);
-            }
-        }
-    }
-
-    /// One-qubit depolarising channel on qubit `q` (`l` pre-clamped,
-    /// non-zero): one pass over the upper block triangle.
-    pub(crate) fn depol_1q(data: &mut [Complex64], dim: usize, l: f64, q: usize) {
-        let mask = 1usize << q;
-        let half = dim >> 1;
-        for rk in 0..half {
-            let r0 = insert_zero_bit(rk, mask);
-            let r1 = r0 | mask;
-            let (base0, base1) = (r0 * dim, r1 * dim);
-            let blk = depol1(load2(data, base0, base1, r0, r1), l);
-            store2(data, base0, base1, r0, r1, blk);
-            for ck in rk + 1..half {
-                let c0 = insert_zero_bit(ck, mask);
-                let c1 = c0 | mask;
-                let blk = depol1(load2(data, base0, base1, c0, c1), l);
-                store2(data, base0, base1, c0, c1, blk);
-                store2_mirror(data, dim, r0, r1, c0, c1, blk);
+                store2_mirror(data, dim, (r0, r1), (c0, c1), blk);
             }
         }
     }
@@ -774,15 +1122,15 @@ pub(crate) mod kernels {
 
     /// Loads a 4×4 block (row bases × column indices).
     #[inline(always)]
-    pub(crate) fn load4(
-        data: &[Complex64],
+    fn load4<const B: usize, S: LaneStore<B> + ?Sized>(
+        data: &S,
         rows: &[usize; 4],
         cols: &[usize; 4],
-    ) -> [Complex64; 16] {
-        let mut blk = [Complex64::ZERO; 16];
+    ) -> Lanes16<B> {
+        let mut blk = [CLane::ZERO; 16];
         for (r, &row) in rows.iter().enumerate() {
             for (c, &col) in cols.iter().enumerate() {
-                blk[r * 4 + c] = data[row + col];
+                blk[r * 4 + c] = data.get(row + col);
             }
         }
         blk
@@ -790,15 +1138,15 @@ pub(crate) mod kernels {
 
     /// Stores a 4×4 block back.
     #[inline(always)]
-    pub(crate) fn store4(
-        data: &mut [Complex64],
+    fn store4<const B: usize, S: LaneStore<B> + ?Sized>(
+        data: &mut S,
         rows: &[usize; 4],
         cols: &[usize; 4],
-        blk: &[Complex64; 16],
+        blk: &Lanes16<B>,
     ) {
         for (r, &row) in rows.iter().enumerate() {
             for (c, &col) in cols.iter().enumerate() {
-                data[row + col] = blk[r * 4 + c];
+                data.set(row + col, blk[r * 4 + c]);
             }
         }
     }
@@ -806,93 +1154,48 @@ pub(crate) mod kernels {
     /// Stores the conjugate transpose of a 4×4 block into its Hermitian
     /// mirror position (`ridx` are the block's row *indices*, not bases).
     #[inline(always)]
-    pub(crate) fn store4_mirror(
-        data: &mut [Complex64],
+    fn store4_mirror<const B: usize, S: LaneStore<B> + ?Sized>(
+        data: &mut S,
         dim: usize,
         ridx: &[usize; 4],
         cols: &[usize; 4],
-        blk: &[Complex64; 16],
+        blk: &Lanes16<B>,
     ) {
         for (c, &col) in cols.iter().enumerate() {
             let base = col * dim;
             for (r, &row) in ridx.iter().enumerate() {
-                data[base + row] = blk[r * 4 + c].conj();
+                data.set(base + row, blk[r * 4 + c].conj());
             }
         }
     }
 
-    /// `ρ → U ρ U†` for a 4×4 unitary on `(a, b)` (`a` = high local bit):
-    /// one pass over the upper block triangle.
-    pub(crate) fn unitary_2q(data: &mut [Complex64], dim: usize, u: &M4, a: usize, b: usize) {
+    /// One pass applying `f` to every 4×4 block of the qubit pair
+    /// `(a, b)` (`a` = high local bit) on or above the block diagonal,
+    /// mirroring the lower half. The one walk behind every two-qubit
+    /// operation, fused or not — a lone CX therefore leaves exactly the
+    /// bits of a fused segment containing one.
+    #[inline(always)]
+    pub(crate) fn walk_2q<const B: usize, S: LaneStore<B> + ?Sized>(
+        data: &mut S,
+        dim: usize,
+        a: usize,
+        b: usize,
+        mut f: impl FnMut(&mut Lanes16<B>),
+    ) {
         let (ma, mb, m_lo, m_hi) = sorted_masks(a, b);
         let quarter = dim >> 2;
         for rk in 0..quarter {
             let i = insert_zero_bit(insert_zero_bit(rk, m_lo), m_hi);
             let ridx = [i, i | mb, i | ma, i | ma | mb];
-            let rows = ridx.map(|r| r * dim);
+            let rows = [ridx[0] * dim, ridx[1] * dim, ridx[2] * dim, ridx[3] * dim];
             for ck in rk..quarter {
                 let j = insert_zero_bit(insert_zero_bit(ck, m_lo), m_hi);
                 let cols = [j, j | mb, j | ma, j | ma | mb];
                 let mut blk = load4(data, &rows, &cols);
-                conj4(&mut blk, u, [0, 1, 2, 3]);
+                f(&mut blk);
                 store4(data, &rows, &cols, &blk);
                 if ck > rk {
                     store4_mirror(data, dim, &ridx, &cols, &blk);
-                }
-            }
-        }
-    }
-
-    /// Two-qubit depolarising channel on `(a, b)` (`l` pre-clamped,
-    /// non-zero): one pass over the upper block triangle.
-    pub(crate) fn depol_2q(data: &mut [Complex64], dim: usize, l: f64, a: usize, b: usize) {
-        let (ma, mb, m_lo, m_hi) = sorted_masks(a, b);
-        let quarter = dim >> 2;
-        for rk in 0..quarter {
-            let i = insert_zero_bit(insert_zero_bit(rk, m_lo), m_hi);
-            let ridx = [i, i | mb, i | ma, i | ma | mb];
-            let rows = ridx.map(|r| r * dim);
-            for ck in rk..quarter {
-                let j = insert_zero_bit(insert_zero_bit(ck, m_lo), m_hi);
-                let cols = [j, j | mb, j | ma, j | ma | mb];
-                let mut blk = load4(data, &rows, &cols);
-                depol2(&mut blk, l, [0, 1, 2, 3]);
-                store4(data, &rows, &cols, &blk);
-                if ck > rk {
-                    store4_mirror(data, dim, &ridx, &cols, &blk);
-                }
-            }
-        }
-    }
-
-    /// CNOT conjugation `ρ → CX ρ CX†` as an index permutation: one pass
-    /// over the upper block triangle, mirroring the lower half (so a lone
-    /// CX leaves exactly the same bits as a fused segment containing one).
-    pub(crate) fn cx(data: &mut [Complex64], dim: usize, control: usize, target: usize) {
-        let (mc, mt, m_lo, m_hi) = sorted_masks(control, target);
-        let quarter = dim >> 2;
-        for rk in 0..quarter {
-            let i = insert_zero_bit(insert_zero_bit(rk, m_lo), m_hi);
-            let ridx = [i, i | mt, i | mc, i | mc | mt];
-            let rows = ridx.map(|r| r * dim);
-            for ck in rk..quarter {
-                let j = insert_zero_bit(insert_zero_bit(ck, m_lo), m_hi);
-                let cols = [j, j | mt, j | mc, j | mc | mt];
-                // Rows with the control bit set swap target-bit pairs …
-                for &col in &cols {
-                    data.swap(rows[2] + col, rows[3] + col);
-                }
-                // … and likewise the columns, in every row of the block.
-                for &row in &rows {
-                    data.swap(row + cols[2], row + cols[3]);
-                }
-                if ck > rk {
-                    for (c, &col) in cols.iter().enumerate() {
-                        let base = col * dim;
-                        for (r, &row) in ridx.iter().enumerate() {
-                            data[base + row] = data[rows[r] + cols[c]].conj();
-                        }
-                    }
                 }
             }
         }
@@ -905,7 +1208,7 @@ pub(crate) mod kernels {
         src: &[Complex64],
         acc: &mut [Complex64],
         dim: usize,
-        ks: &[(M2, MatClass)],
+        ks: &[(Lanes4<1>, MatClass)],
         q: usize,
     ) {
         let mask = 1usize << q;
@@ -918,7 +1221,7 @@ pub(crate) mod kernels {
                 let c0 = insert_zero_bit(ck, mask);
                 let c1 = c0 | mask;
                 let blk = load2(src, base0, base1, c0, c1);
-                let mut tot = [Complex64::ZERO; 4];
+                let mut tot = [CLane::ZERO; 4];
                 for (k, class) in ks {
                     let term = conj2(blk, k, *class);
                     for (t, v) in tot.iter_mut().zip(term.iter()) {
@@ -927,7 +1230,7 @@ pub(crate) mod kernels {
                 }
                 store2(acc, base0, base1, c0, c1, tot);
                 if ck > rk {
-                    store2_mirror(acc, dim, r0, r1, c0, c1, tot);
+                    store2_mirror(acc, dim, (r0, r1), (c0, c1), tot);
                 }
             }
         }
@@ -940,7 +1243,7 @@ pub(crate) mod kernels {
         src: &[Complex64],
         acc: &mut [Complex64],
         dim: usize,
-        ks: &[M4],
+        ks: &[Lanes16<1>],
         a: usize,
         b: usize,
     ) {
@@ -949,15 +1252,15 @@ pub(crate) mod kernels {
         for rk in 0..quarter {
             let i = insert_zero_bit(insert_zero_bit(rk, m_lo), m_hi);
             let ridx = [i, i | mb, i | ma, i | ma | mb];
-            let rows = ridx.map(|r| r * dim);
+            let rows = [ridx[0] * dim, ridx[1] * dim, ridx[2] * dim, ridx[3] * dim];
             for ck in rk..quarter {
                 let j = insert_zero_bit(insert_zero_bit(ck, m_lo), m_hi);
                 let cols = [j, j | mb, j | ma, j | ma | mb];
                 let blk = load4(src, &rows, &cols);
-                let mut tot = [Complex64::ZERO; 16];
+                let mut tot = [CLane::ZERO; 16];
                 for k in ks {
                     let mut term = blk;
-                    conj4(&mut term, k, [0, 1, 2, 3]);
+                    conj4(&mut term, k, IDENTITY_MAP);
                     for (t, v) in tot.iter_mut().zip(term.iter()) {
                         *t += *v;
                     }

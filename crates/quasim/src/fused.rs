@@ -27,14 +27,42 @@
 //! expression sequence of its standalone kernel — and prebinding changes
 //! no bits because binding is a pure function of the gate.
 //!
+//! # Lanes
+//!
+//! One runner executes every fused density program, generic over a lane
+//! count `B` ∈ {1, 2, 4}. At width `B` it runs `B` programs of one
+//! **shape** ([`FusedProgram::same_shape`]: same qubit count, segments,
+//! and per atom the same kind, [`MatClass`], CX control, `swapped` flag
+//! and table index — only matrices and `λ` differ) in lockstep on a lane
+//! panel: `ρ` row-major, each entry holding the `B` lanes' real parts and
+//! their imaginary parts as `[f64; B]` arrays. The matrices and `λ` are
+//! gathered per lane once per run. Every segment is one walk over the
+//! upper block triangle (plus mirror), shared by all widths, so a block
+//! load fetches the same entry of every lane and the lane arithmetic fills
+//! SIMD registers. An AVX2 compilation of the runner is chosen through
+//! [`crate::trajectory::KernelMode::detect`]; `QUCAD_FORCE_SCALAR` pins
+//! the plain one.
+//!
+//! Lanes change no bits: every lane operation performs, on each lane, the
+//! scalar IEEE-754 operation of the width-1 expression in the same order
+//! (no FMA, no cross-lane arithmetic), and the walk order does not depend
+//! on `B` (see `quasim::density::kernels`). Width 1 over plain
+//! [`Complex64`] storage is [`FusedProgram::run_on`] /
+//! [`crate::density::SimWorkspace::run`]; wider runs go through
+//! [`crate::density::SimWorkspace::run_lanes`], which falls back to fewer
+//! lanes when a `B`-lane panel would exceed the trajectory panel's
+//! streaming budget ([`crate::density::SimWorkspace::max_lanes`]).
+//!
 //! Programs are built with [`ProgramBuilder`] (usually via the
 //! `transpile::fuse` pass) and executed with
-//! [`crate::density::SimWorkspace::run`] or
+//! [`crate::density::SimWorkspace::run`],
+//! [`crate::density::SimWorkspace::run_lanes`] or
 //! [`crate::density::DensityMatrix::apply_fused`].
 
-use crate::density::kernels;
+use crate::density::kernels::{self, CLane, LaneStore, Lanes16, Lanes4};
 use crate::math::Complex64;
 pub use crate::math::{M2, M4};
+use crate::trajectory::KernelMode;
 
 /// Structural class of a 2×2 matrix, detected once at program build time
 /// so the kernels can use specialised conjugation paths (real matrices —
@@ -264,13 +292,52 @@ impl FusedProgram {
     pub fn run_on(&self, data: &mut [Complex64]) {
         let dim = 1usize << self.n_qubits;
         assert_eq!(data.len(), dim * dim, "storage size mismatch");
+        run_lanes(data, &[self], KernelMode::detect());
+    }
+
+    /// Whether `other` has this program's **shape**: the same qubit count,
+    /// the same segments (support and atom range), and per atom the same
+    /// kind, [`MatClass`], CX control, `swapped` flag and matrix-table
+    /// index. Programs of one shape differ only in their matrices and
+    /// depolarising strengths, so they can run in lockstep as the lanes of
+    /// one panel ([`crate::density::SimWorkspace::run_lanes`]).
+    pub fn same_shape(&self, other: &FusedProgram) -> bool {
+        self.n_qubits == other.n_qubits
+            && self.segments == other.segments
+            && self.m2s.len() == other.m2s.len()
+            && self.m4s.len() == other.m4s.len()
+            && self.atoms.len() == other.atoms.len()
+            && self
+                .atoms
+                .iter()
+                .zip(&other.atoms)
+                .all(|(a, b)| atom_shape(a) == atom_shape(b))
+    }
+
+    /// A 64-bit fingerprint of the program's shape: programs of the same
+    /// shape ([`Self::same_shape`]) have equal fingerprints, so comparing
+    /// fingerprints first makes bucketing many programs by shape cheap.
+    pub fn shape_fingerprint(&self) -> u64 {
+        // FNV-1a over the shape words.
+        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        let mut mix = |w: u64| {
+            h ^= w;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        };
+        mix(self.n_qubits as u64);
+        mix(self.m2s.len() as u64);
+        mix(self.m4s.len() as u64);
         for seg in &self.segments {
-            let atoms = &self.atoms[seg.atoms.clone()];
             match seg.support {
-                Support::One(q) => run_1q_segment(data, dim, q, atoms, &self.m2s),
-                Support::Two(a, b) => run_2q_segment(data, dim, a, b, atoms, &self.m4s),
+                Support::One(q) => mix(q as u64),
+                Support::Two(a, b) => mix(1 << 32 | (a as u64) << 16 | b as u64),
             }
+            mix((seg.atoms.start as u64) << 32 | seg.atoms.end as u64);
         }
+        for atom in &self.atoms {
+            mix(atom_shape(atom));
+        }
+        h
     }
 
     /// Returns a copy of the program with every run of two or more
@@ -661,95 +728,156 @@ fn quartet_map(swapped: bool) -> [usize; 4] {
     if swapped {
         [0, 2, 1, 3]
     } else {
-        [0, 1, 2, 3]
+        kernels::IDENTITY_MAP
     }
 }
 
-/// Applies a chain of one-qubit atoms to a 2×2 block in registers.
-#[inline(always)]
-fn chain_1q(mut blk: [Complex64; 4], atoms: &[FusedAtom], m2s: &[M2]) -> [Complex64; 4] {
-    for atom in atoms {
-        match *atom {
-            FusedAtom::Unitary1 { m2, class } => {
-                blk = kernels::conj2(blk, &m2s[m2 as usize], class);
-            }
-            FusedAtom::Depol1 { lambda } => blk = kernels::depol1(blk, lambda),
-            _ => unreachable!("two-qubit atom in one-qubit segment"),
-        }
-    }
-    blk
-}
-
-/// Single pass applying a run of one-qubit atoms on qubit `q` over the
-/// upper block triangle of `ρ`, mirroring the lower half (Hermitian
-/// symmetry; same walk and helpers as `quasim::density::kernels`).
-fn run_1q_segment(data: &mut [Complex64], dim: usize, q: usize, atoms: &[FusedAtom], m2s: &[M2]) {
-    let mask = 1usize << q;
-    let half = dim >> 1;
-    for rk in 0..half {
-        let r0 = kernels::insert_zero_bit(rk, mask);
-        let r1 = r0 | mask;
-        let (base0, base1) = (r0 * dim, r1 * dim);
-        // Diagonal block.
-        let blk = chain_1q(kernels::load2(data, base0, base1, r0, r1), atoms, m2s);
-        kernels::store2(data, base0, base1, r0, r1, blk);
-        for ck in rk + 1..half {
-            let c0 = kernels::insert_zero_bit(ck, mask);
-            let c1 = c0 | mask;
-            let blk = chain_1q(kernels::load2(data, base0, base1, c0, c1), atoms, m2s);
-            kernels::store2(data, base0, base1, c0, c1, blk);
-            kernels::store2_mirror(data, dim, r0, r1, c0, c1, blk);
-        }
+/// Shape word of one atom: its kind, `MatClass`, CX control or `swapped`
+/// flag, and matrix-table index — everything but the matrix and `λ`.
+fn atom_shape(atom: &FusedAtom) -> u64 {
+    match *atom {
+        FusedAtom::Unitary1 { m2, class } => 1 | (class as u64) << 8 | u64::from(m2) << 32,
+        FusedAtom::Depol1 { .. } => 2,
+        FusedAtom::Cx { control } => 3 | (control as u64) << 8,
+        FusedAtom::Unitary2 { m4, swapped } => 4 | u64::from(swapped) << 8 | u64::from(m4) << 32,
+        FusedAtom::Depol2 { swapped, .. } => 5 | u64::from(swapped) << 8,
     }
 }
 
-/// Applies a chain of two-qubit atoms to a 4×4 block in registers.
-#[inline(always)]
-fn chain_2q(blk: &mut [Complex64; 16], atoms: &[FusedAtom], m4s: &[M4]) {
-    for atom in atoms {
-        match *atom {
-            FusedAtom::Cx { control } => {
-                kernels::cx_block(blk, control == Wire::A);
-            }
-            FusedAtom::Unitary2 { m4, swapped } => {
-                kernels::conj4(blk, &m4s[m4 as usize], quartet_map(swapped));
-            }
-            FusedAtom::Depol2 { lambda, swapped } => {
-                kernels::depol2(blk, lambda, quartet_map(swapped));
-            }
-            _ => unreachable!("one-qubit atom in two-qubit segment"),
+/// Per-lane operands of `B` same-shape programs, gathered lane-major once
+/// per run: lane `k` of every entry belongs to program `k`.
+struct LaneOperands<const B: usize> {
+    m2s: Vec<Lanes4<B>>,
+    m4s: Vec<Lanes16<B>>,
+    /// Depolarising strength per atom position (unused for other atoms).
+    lambdas: Vec<[f64; B]>,
+}
+
+impl<const B: usize> LaneOperands<B> {
+    fn gather(programs: &[&FusedProgram; B]) -> Self {
+        let shape = programs[0];
+        LaneOperands {
+            m2s: (0..shape.m2s.len())
+                .map(|i| std::array::from_fn(|e| CLane::gather(|k| programs[k].m2s[i][e])))
+                .collect(),
+            m4s: (0..shape.m4s.len())
+                .map(|i| std::array::from_fn(|e| CLane::gather(|k| programs[k].m4s[i][e])))
+                .collect(),
+            lambdas: (0..shape.atoms.len())
+                .map(|a| {
+                    std::array::from_fn(|k| match programs[k].atoms[a] {
+                        FusedAtom::Depol1 { lambda } | FusedAtom::Depol2 { lambda, .. } => lambda,
+                        _ => 0.0,
+                    })
+                })
+                .collect(),
         }
     }
 }
 
-/// Single pass applying a run of atoms supported on the qubit pair
-/// `(a, b)` over the upper block triangle of `ρ`, mirroring the lower
-/// half. `a` is the most significant local bit of the 4×4 blocks.
-fn run_2q_segment(
-    data: &mut [Complex64],
-    dim: usize,
-    a: usize,
-    b: usize,
-    atoms: &[FusedAtom],
-    m4s: &[M4],
+/// Runs `B` programs of one shape ([`FusedProgram::same_shape`], checked
+/// by the caller) in lockstep on the lane storage `data`: lane `k` of
+/// `data` evolves under `programs[k]`, bit-identical to a width-1 run of
+/// that program alone (see the `quasim::density::kernels` lane contract).
+///
+/// `kernel` picks the compilation: [`KernelMode::Avx2`] runs an AVX2
+/// compilation of the same code ([`KernelMode::detect`] picks it unless
+/// `QUCAD_FORCE_SCALAR` is set), [`KernelMode::Scalar`] the plain one.
+/// Both compile the identical lane expressions, which contain no FMA, so
+/// they agree bit for bit.
+pub(crate) fn run_lanes<const B: usize, S: LaneStore<B> + ?Sized>(
+    data: &mut S,
+    programs: &[&FusedProgram; B],
+    kernel: KernelMode,
 ) {
-    let ma = 1usize << a;
-    let mb = 1usize << b;
-    let (m_lo, m_hi) = if ma < mb { (ma, mb) } else { (mb, ma) };
-    let quarter = dim >> 2;
-    for rk in 0..quarter {
-        let i = kernels::insert_zero_bit(kernels::insert_zero_bit(rk, m_lo), m_hi);
-        let ridx = [i, i | mb, i | ma, i | ma | mb];
-        let rows = ridx.map(|r| r * dim);
-        for ck in rk..quarter {
-            let j = kernels::insert_zero_bit(kernels::insert_zero_bit(ck, m_lo), m_hi);
-            let cols = [j, j | mb, j | ma, j | ma | mb];
-            let mut blk = kernels::load4(data, &rows, &cols);
-            chain_2q(&mut blk, atoms, m4s);
-            kernels::store4(data, &rows, &cols, &blk);
-            if ck > rk {
-                kernels::store4_mirror(data, dim, &ridx, &cols, &blk);
+    let shape = programs[0];
+    let dim = 1usize << shape.n_qubits;
+    let operands = LaneOperands::gather(programs);
+    match kernel {
+        KernelMode::Scalar => run_segments(data, dim, shape, &operands),
+        KernelMode::Avx2 => {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2` is only constructed after `avx2_supported()`
+            // returned true (`detect` / `set_kernel_mode`), so the avx2
+            // target feature is available on this CPU.
+            unsafe {
+                run_segments_avx2(data, dim, shape, &operands);
             }
+            #[cfg(not(target_arch = "x86_64"))]
+            unreachable!("KernelMode::Avx2 cannot be constructed off x86_64");
+        }
+    }
+}
+
+/// [`run_segments`] compiled for AVX2, so the lane arithmetic becomes
+/// 4-wide vector instructions.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_segments_avx2<const B: usize, S: LaneStore<B> + ?Sized>(
+    data: &mut S,
+    dim: usize,
+    shape: &FusedProgram,
+    operands: &LaneOperands<B>,
+) {
+    run_segments(data, dim, shape, operands);
+}
+
+/// The fused-density runner: one block walk per segment of `shape`, every
+/// atom of the segment applied to each block in program order. Everything
+/// below it is forced inline (the block closures included), so the AVX2
+/// copy compiles the lane arithmetic with AVX2.
+#[inline(always)]
+fn run_segments<const B: usize, S: LaneStore<B> + ?Sized>(
+    data: &mut S,
+    dim: usize,
+    shape: &FusedProgram,
+    operands: &LaneOperands<B>,
+) {
+    for seg in &shape.segments {
+        let atoms = &shape.atoms[seg.atoms.clone()];
+        let lambdas = &operands.lambdas[seg.atoms.clone()];
+        match seg.support {
+            Support::One(q) => kernels::walk_1q(
+                data,
+                dim,
+                q,
+                #[inline(always)]
+                |mut blk| {
+                    for (atom, &l) in atoms.iter().zip(lambdas) {
+                        blk = match *atom {
+                            FusedAtom::Unitary1 { m2, class } => {
+                                kernels::conj2(blk, &operands.m2s[m2 as usize], class)
+                            }
+                            FusedAtom::Depol1 { .. } => kernels::depol1(blk, l),
+                            _ => unreachable!("two-qubit atom in one-qubit segment"),
+                        };
+                    }
+                    blk
+                },
+            ),
+            Support::Two(a, b) => kernels::walk_2q(
+                data,
+                dim,
+                a,
+                b,
+                #[inline(always)]
+                |blk| {
+                    for (atom, &l) in atoms.iter().zip(lambdas) {
+                        match *atom {
+                            FusedAtom::Cx { control } => kernels::cx_block(blk, control == Wire::A),
+                            FusedAtom::Unitary2 { m4, swapped } => kernels::conj4(
+                                blk,
+                                &operands.m4s[m4 as usize],
+                                quartet_map(swapped),
+                            ),
+                            FusedAtom::Depol2 { swapped, .. } => {
+                                kernels::depol2(blk, l, quartet_map(swapped));
+                            }
+                            _ => unreachable!("one-qubit atom in two-qubit segment"),
+                        }
+                    }
+                },
+            ),
         }
     }
 }

@@ -480,6 +480,12 @@ pub const MAX_PANEL_WIDTH: usize = 4096;
 /// want at least one full 4-lane AVX2 vector of adjacent columns.
 pub const MIN_AUTO_PANEL_WIDTH: usize = 4;
 
+/// Streaming budget of one panel, in bytes: the trajectory panel's auto
+/// width ([`auto_panel_width`]) and the density lane count
+/// ([`crate::density::SimWorkspace::max_lanes`]) both keep a panel within
+/// it.
+pub const PANEL_BYTES_BUDGET: usize = 8 << 20;
+
 /// Default panel width for an `n_qubits` register: as wide as possible
 /// (more columns amortise pass dispatch and index arithmetic and give the
 /// kernels longer contiguous inner loops) while the whole panel stays
@@ -497,7 +503,6 @@ pub const MIN_AUTO_PANEL_WIDTH: usize = 4;
 /// (width 1 at ≥ 20 qubits). Use [`auto_panel_width_is_clamped`] to
 /// detect the clamped regime (the perf harness reports it).
 pub fn auto_panel_width(n_qubits: usize) -> usize {
-    const PANEL_BYTES_BUDGET: usize = 8 << 20;
     let bytes_per_column = (2 * std::mem::size_of::<f64>()) << n_qubits;
     (PANEL_BYTES_BUDGET / bytes_per_column).clamp(MIN_AUTO_PANEL_WIDTH, 16)
 }
@@ -507,7 +512,6 @@ pub fn auto_panel_width(n_qubits: usize) -> usize {
 /// fewer columns). Diagnostic only — the width stays a pure performance
 /// knob either way.
 pub fn auto_panel_width_is_clamped(n_qubits: usize) -> bool {
-    const PANEL_BYTES_BUDGET: usize = 8 << 20;
     let bytes_per_column = (2 * std::mem::size_of::<f64>()) << n_qubits;
     PANEL_BYTES_BUDGET / bytes_per_column < MIN_AUTO_PANEL_WIDTH
 }

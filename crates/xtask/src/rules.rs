@@ -7,12 +7,13 @@
 //!   result-affecting paths: hash iteration order is unspecified, so any
 //!   result folded from it is nondeterministic. Lookups (`get`/`insert`/
 //!   `contains_key`/`len`/`clear`) are fine.
-//! - `wall-clock` — no `SystemTime`/`Instant` outside `crates/bench`:
-//!   wall-clock reads in compute paths smuggle nondeterminism (and the
-//!   temptation to branch on it) into results.
+//! - `wall-clock` — no `SystemTime`/`Instant` outside the benchmark
+//!   packages (`crates/bench`, `qbench`): wall-clock reads in compute
+//!   paths smuggle nondeterminism (and the temptation to branch on it)
+//!   into results.
 //! - `adhoc-rng` — no `thread_rng`/`from_entropy`/`rand::random` outside
-//!   `crates/bench`: every random stream must come from an explicitly
-//!   seeded generator so runs replay bit-exactly.
+//!   the benchmark packages: every random stream must come from an
+//!   explicitly seeded generator so runs replay bit-exactly.
 //! - `unsafe-safety` — every `unsafe` token carries a `// SAFETY:`
 //!   comment on the same line or within the three lines above it.
 //! - `env-read` — `env::var` reads only at the audited configuration
@@ -38,11 +39,15 @@ pub fn rule_name(name: &str) -> Option<&'static str> {
     RULE_NAMES.iter().copied().find(|&r| r == name)
 }
 
+/// Path prefixes of the benchmark packages, the only code allowed to read
+/// the wall clock or draw unseeded randomness.
+const BENCH_ONLY_PATHS: [&str; 2] = ["crates/bench/", "qbench/"];
+
 /// Runs every rule that applies to the file's path.
 pub fn check_all(view: &FileView<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     out.extend(hash_iter(view));
-    if !view.path.starts_with("crates/bench/") {
+    if !BENCH_ONLY_PATHS.iter().any(|p| view.path.starts_with(p)) {
         out.extend(token_rule(
             view,
             "wall-clock",
@@ -284,6 +289,7 @@ mod tests {
     fn wall_clock_and_rng_are_bench_only() {
         let src = "fn f() { let t = Instant::now(); let r = thread_rng(); }\n";
         assert_eq!(scan_file("crates/bench/src/x.rs", src).len(), 0);
+        assert_eq!(scan_file("qbench/src/x.rs", src).len(), 0);
         let findings = scan_file("crates/quasim/src/x.rs", src);
         assert_eq!(findings.len(), 2);
         assert!(findings.iter().any(|f| f.rule == "wall-clock"));
