@@ -12,11 +12,15 @@
 //!   `ibm_belem` × {MNIST-4, Iris, Seismic} with trained base weights;
 //! - fig8: `ibm_jakarta` × Seismic;
 //! - fig10: the untrained 16-qubit `ibm_guadalupe` model
-//!   (trajectory-only — wider than the density cap).
+//!   (trajectory-only — wider than the density cap), compiled at the
+//!   scenario's noise scale and noise-free: with a depolarising atom
+//!   after every gate nothing precomposes, so only the noise-free compile
+//!   carries composed factors for the verifier and the mutator.
 //!
 //! For each entry, programs are compiled across calibration days (first,
 //! middle, and last offline day plus first and last online day) × test
-//! samples × both backends where the register fits, exactly through the
+//! samples × both backends where the register fits (plus the noise-free
+//! trajectory compile where an entry asks for it), exactly through the
 //! pipeline the binaries use (`NoisyExecutor::compile_program`, program
 //! cache warm and cold). Exit status is non-zero on any acceptance or
 //! rejection failure, so CI can gate on it.
@@ -45,6 +49,11 @@ struct Entry {
     weights: Vec<f64>,
     features: Vec<Vec<f64>>,
     days: Vec<CalibrationSnapshot>,
+    /// Also compile every (day, sample) noise-free on the trajectory
+    /// backend. At the scenarios' noise scale a depolarising atom follows
+    /// every gate, so only a noise-free compile precomposes unitaries
+    /// (gives composed factors to verify and to mutate).
+    noise_free_trajectory: bool,
 }
 
 /// First/middle/last picks of a day slice (deduplicated when short).
@@ -92,6 +101,7 @@ fn fleet() -> Vec<Entry> {
             weights: exp.base_weights,
             features,
             days,
+            noise_free_trajectory: false,
         });
     }
 
@@ -117,6 +127,7 @@ fn fleet() -> Vec<Entry> {
             .map(|s| s.features.clone())
             .collect(),
         days: day_picks(history.online()),
+        noise_free_trajectory: true,
     });
     entries
 }
@@ -124,40 +135,41 @@ fn fleet() -> Vec<Entry> {
 /// Verifies every program one entry compiles; returns the programs (for
 /// the mutation pass) or the number of failures.
 fn sweep_entry(entry: &Entry, failures: &mut usize) -> Vec<FusedProgram> {
-    let mut backends = vec![SimBackend::Trajectory];
+    // (backend, noise scale) compiles: the scenarios' scale on every
+    // backend the register fits, plus the entry's noise-free one.
+    let mut configs = vec![(SimBackend::Trajectory, 3.0)];
     if entry.model.n_qubits() <= MAX_DENSITY_QUBITS {
-        backends.push(SimBackend::Density);
+        configs.push((SimBackend::Density, 3.0));
+    }
+    if entry.noise_free_trajectory {
+        configs.push((SimBackend::Trajectory, 0.0));
     }
     let mut programs = Vec::new();
     let mut checked = 0usize;
-    for backend in backends {
+    for (backend, scale) in configs {
         let options = NoiseOptions {
-            scale: 3.0,
+            scale,
             backend,
             ..NoiseOptions::with_shots(1024, 42)
         };
         let exec = NoisyExecutor::new(&entry.model, &entry.topology, options);
+        let label = format!("{} at noise scale {scale}", backend.name());
         for day in &entry.days {
             for features in &entry.features {
                 let (measured, program) = exec.compile_program(features, &entry.weights, day);
                 if let Err(e) = verify_program(&program) {
-                    eprintln!("FAIL [{}] {} rejected: {e}", entry.name, backend.name());
+                    eprintln!("FAIL [{}] {label} rejected: {e}", entry.name);
                     *failures += 1;
                 }
                 let plan = supergroup_plan(&program);
                 if let Err(e) = verify_supergroup_plan(&program, &plan) {
-                    eprintln!(
-                        "FAIL [{}] {} plan rejected: {e}",
-                        entry.name,
-                        backend.name()
-                    );
+                    eprintln!("FAIL [{}] {label} plan rejected: {e}", entry.name);
                     *failures += 1;
                 }
                 if let Some(&q) = measured.iter().find(|&&q| q >= program.n_qubits()) {
                     eprintln!(
-                        "FAIL [{}] {} measured qubit {q} outside the {}-qubit register",
+                        "FAIL [{}] {label} measured qubit {q} outside the {}-qubit register",
                         entry.name,
-                        backend.name(),
                         program.n_qubits()
                     );
                     *failures += 1;

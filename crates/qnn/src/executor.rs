@@ -989,27 +989,11 @@ impl NoisyExecutor {
         self.native_at(&full).0.length()
     }
 
-    /// Evaluates a whole [`ProbeBatch`] — the batched evaluation engine.
+    /// Evaluates a one-day [`ProbeBatch`]: every probe under `snapshot`.
     ///
-    /// Probes are grouped by [`StructureKey`] (each probe's full parameter
-    /// vector and key are computed once); each group routes/simplifies
-    /// **once** through the program cache ([`Self::cache_stats`] counts one
-    /// hit or miss per group, whatever `threads` is) and re-binds per probe
-    /// via [`CircuitTemplate::bind_batch`] (linear expansion only).
-    ///
-    /// The probes are then put in structure order — by group, and within a
-    /// group the probes on the same features next to each other (an SPSA
-    /// ± pair, a finite-difference sweep) — and contiguous chunks of that
-    /// order fan out through [`parallel::map_chunks`], one executor clone
-    /// (and so one workspace/panel) per worker. Each worker binds and fuses
-    /// its probes; then the density backend buckets the fused programs by
-    /// shape ([`FusedProgram::same_shape`]) and runs each bucket as the
-    /// lanes of one density panel ([`SimWorkspace::run_lanes`], 4 lanes at
-    /// a time, then 2, then 1), and the trajectory backend packs probes
-    /// that bind to bitwise-identical parameter vectors into shared
-    /// [`TrajectoryPanel`] sweeps
-    /// ([`quasim::trajectory::estimate_prob_one_panel_multi`]). Results
-    /// return by probe index.
+    /// A call into the one batched engine,
+    /// [`Self::evaluate_probes_over_days`], with `snapshot` as the only day,
+    /// so every probe must sit on day 0 (what [`ProbeBatch::push`] gives).
     ///
     /// **Bit-identity contract**: element `i` of the result equals
     /// [`Self::z_scores_seeded`]`(probes[i].features, probes[i].weights,
@@ -1021,19 +1005,74 @@ impl NoisyExecutor {
     ///
     /// # Panics
     ///
-    /// Panics as [`Self::z_scores_seeded`].
+    /// Panics as [`Self::evaluate_probes_over_days`].
     pub fn evaluate_probes(
         &self,
         snapshot: &CalibrationSnapshot,
         batch: &ProbeBatch<'_>,
         threads: usize,
     ) -> Vec<Vec<f64>> {
-        assert_eq!(
-            snapshot.n_qubits(),
-            self.topology.n_qubits(),
-            "snapshot does not match device"
-        );
+        self.evaluate_probes_over_days(&[snapshot], batch, threads)
+    }
+
+    /// Evaluates a whole [`ProbeBatch`] whose probes may sit on different
+    /// calibration days — the batched evaluation engine. Probe `i` runs
+    /// under `days[probes[i].day]`.
+    ///
+    /// Probes are grouped by [`StructureKey`] (each probe's full parameter
+    /// vector and key are computed once; the key does not depend on the
+    /// day); each group routes/simplifies **once** through the program
+    /// cache ([`Self::cache_stats`] counts one hit or miss per group,
+    /// whatever `threads` is) and re-binds per probe via
+    /// [`CircuitTemplate::bind_batch`] (linear expansion only).
+    ///
+    /// The probes are then put in structure order — by group; within a
+    /// group the probes on the same features next to each other (an SPSA
+    /// ± pair, a finite-difference sweep, one sample on every day), and
+    /// among those the probes of one day next to each other — and
+    /// contiguous chunks of that order fan out through
+    /// [`parallel::map_chunks`], one executor clone (and so one
+    /// workspace/panel) per worker. A batch spanning several days thus
+    /// splits its whole (day, probe) grid evenly over the workers. Each
+    /// worker binds and fuses its probes with their own day's λ; then the
+    /// density backend buckets the fused programs by shape
+    /// ([`FusedProgram::same_shape`], days may share a bucket: λ is lane
+    /// data) and runs each bucket as the lanes of one density panel
+    /// ([`SimWorkspace::run_lanes`], 4 lanes at a time, then 2, then 1),
+    /// and the trajectory backend packs consecutive probes that bind to
+    /// bitwise-identical parameter vectors **on the same day** into
+    /// shared [`TrajectoryPanel`] sweeps
+    /// ([`quasim::trajectory::estimate_prob_one_panel_multi`]). Readout
+    /// confusion comes from each probe's own day. Results return by probe
+    /// index.
+    ///
+    /// **Bit-identity contract**: element `i` of the result equals
+    /// [`Self::z_scores_seeded`]`(probes[i].features, probes[i].weights,
+    /// days[probes[i].day], probes[i].stream)` exactly — for either
+    /// backend, any `threads`, any lane or panel width, and any cache
+    /// warmth.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Self::z_scores_seeded`], or if a probe's day is out of
+    /// range of `days`.
+    pub fn evaluate_probes_over_days(
+        &self,
+        days: &[&CalibrationSnapshot],
+        batch: &ProbeBatch<'_>,
+        threads: usize,
+    ) -> Vec<Vec<f64>> {
+        for snapshot in days {
+            assert_eq!(
+                snapshot.n_qubits(),
+                self.topology.n_qubits(),
+                "snapshot does not match device"
+            );
+        }
         let probes = batch.probes();
+        if let Some(p) = probes.iter().find(|p| p.day >= days.len()) {
+            panic!("probe on day {} of a {}-day batch", p.day, days.len());
+        }
         let fulls: Vec<Vec<f64>> = probes
             .iter()
             .map(|p| self.model.full_params(p.features, p.weights))
@@ -1056,7 +1095,8 @@ impl NoisyExecutor {
             .collect();
         // Within a group, probes on bitwise-equal features (which fuse to
         // programs of one shape) sit next to each other, so a chunk
-        // boundary rarely splits them.
+        // boundary rarely splits them; among those, one day's probes are
+        // adjacent so the trajectory arm can share their bind + fuse.
         let mut run_of: HashMap<Vec<u64>, usize> = HashMap::new();
         let feature_run: Vec<usize> = probes
             .iter()
@@ -1068,7 +1108,7 @@ impl NoisyExecutor {
             })
             .collect();
         let mut order: Vec<usize> = (0..probes.len()).collect();
-        order.sort_by_key(|&i| (group[i], feature_run[i]));
+        order.sort_by_key(|&i| (group[i], feature_run[i], probes[i].day));
         // Every probe's noise comes from its own stream and results are
         // placed by probe index, so neither the order nor the fan-out can
         // change bits.
@@ -1077,7 +1117,7 @@ impl NoisyExecutor {
             let mut out = Vec::with_capacity(idxs.len());
             for run in idxs.chunk_by(|&a, &b| group[a] == group[b]) {
                 let entry = &entries[group[run[0]]];
-                out.extend(exec.evaluate_group(snapshot, probes, &fulls, entry, run));
+                out.extend(exec.evaluate_group(days, probes, &fulls, entry, run));
             }
             out
         });
@@ -1089,10 +1129,11 @@ impl NoisyExecutor {
     }
 
     /// Scores of the probes `idxs` (all of structure `entry`), in `idxs`
-    /// order: the per-worker half of [`Self::evaluate_probes`].
+    /// order, each under its own day of `days`: the per-worker half of
+    /// [`Self::evaluate_probes_over_days`].
     fn evaluate_group(
         &self,
-        snapshot: &CalibrationSnapshot,
+        days: &[&CalibrationSnapshot],
         probes: &[ProbeRequest<'_>],
         fulls: &[Vec<f64>],
         entry: &CachedStructure,
@@ -1102,6 +1143,7 @@ impl NoisyExecutor {
         let shot_rng = |i: usize| {
             rand::rngs::StdRng::seed_from_u64(mix_stream(self.options.shot_seed, probes[i].stream))
         };
+        let day_of = |i: usize| days[probes[i].day];
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); idxs.len()];
         match self.options.backend {
             SimBackend::Density => {
@@ -1112,9 +1154,10 @@ impl NoisyExecutor {
                     .bind_batch(self.model.circuit(), &thetas, ANGLE_TOL);
                 let programs: Vec<FusedProgram> = natives
                     .iter()
-                    .map(|native| {
+                    .zip(idxs)
+                    .map(|(native, &i)| {
                         fuse_native_compacted(native, &entry.compaction, |op| {
-                            self.op_lambda(op, snapshot)
+                            self.op_lambda(op, day_of(i))
                         })
                     })
                     .collect();
@@ -1151,7 +1194,7 @@ impl NoisyExecutor {
                         for (lane, &j) in lanes.iter().enumerate() {
                             out[j] = self.scores_from_probs(
                                 &natives[j],
-                                snapshot,
+                                day_of(idxs[j]),
                                 &mut shot_rng(idxs[j]),
                                 |q| ws.prob_one_lane(lane, entry.compaction.compact(q)),
                             );
@@ -1161,17 +1204,21 @@ impl NoisyExecutor {
             }
             SimBackend::Trajectory => {
                 // Probes whose parameter vectors are bitwise identical
-                // compile (deterministically) to the same program, so
-                // consecutive runs of them share one bind + fuse and one
-                // multi-probe panel call; each probe still owns its
-                // trajectory stream.
+                // compile (deterministically) to the same program under
+                // one day's calibration, so consecutive runs of them on
+                // the same day share one bind + fuse and one multi-probe
+                // panel call; each probe still owns its trajectory stream.
                 let mut j = 0;
                 while j < idxs.len() {
                     let i0 = idxs[j];
                     let mut k = j + 1;
-                    while k < idxs.len() && bits_equal(&fulls[idxs[k]], &fulls[i0]) {
+                    while k < idxs.len()
+                        && probes[idxs[k]].day == probes[i0].day
+                        && bits_equal(&fulls[idxs[k]], &fulls[i0])
+                    {
                         k += 1;
                     }
+                    let snapshot = day_of(i0);
                     let native = entry.template.bind(&fulls[i0]);
                     let program = fuse_native_trajectory(&native, &entry.compaction, |op| {
                         self.op_lambda(op, snapshot)
@@ -1221,6 +1268,10 @@ pub struct ProbeRequest<'a> {
     pub weights: &'a [f64],
     /// Seeded noise stream id (see [`NoisyExecutor::z_scores_seeded`]).
     pub stream: u64,
+    /// Calibration day of the probe: an index into the `days` slice of
+    /// [`NoisyExecutor::evaluate_probes_over_days`] (always 0 for the
+    /// one-day [`NoisyExecutor::evaluate_probes`]).
+    pub day: usize,
 }
 
 /// An ordered batch of evaluation probes for
@@ -1246,12 +1297,26 @@ impl<'a> ProbeBatch<'a> {
         }
     }
 
-    /// Appends one probe; results come back in push order.
+    /// Appends one probe on day 0; results come back in push order.
     pub fn push(&mut self, features: &'a [f64], weights: &'a [f64], stream: u64) {
+        self.push_on_day(0, features, weights, stream);
+    }
+
+    /// Appends one probe on calibration day `day` (an index into the
+    /// `days` of [`NoisyExecutor::evaluate_probes_over_days`]); results
+    /// come back in push order.
+    pub fn push_on_day(
+        &mut self,
+        day: usize,
+        features: &'a [f64],
+        weights: &'a [f64],
+        stream: u64,
+    ) {
         self.probes.push(ProbeRequest {
             features,
             weights,
             stream,
+            day,
         });
     }
 
@@ -1311,21 +1376,24 @@ pub mod parallel {
     //! density-matrix simulation. The helpers here are thin probe-batch
     //! builders: [`batch_z_scores`] turns the samples into a
     //! [`ProbeBatch`] (sample `i` on stream [`eval_stream`]`(day_stream,
-    //! i)`) and hands it to [`NoisyExecutor::evaluate_probes`];
-    //! [`batch_accuracy`] and [`accuracy_over_days`] are built on it. An
+    //! i)`) and hands it to [`NoisyExecutor::evaluate_probes`], and
+    //! [`batch_accuracy`] is built on it; [`accuracy_over_days`] builds one
+    //! day-spanning batch over every (day, sample) pair (each probe carries
+    //! its day) for [`NoisyExecutor::evaluate_probes_over_days`]. An
     //! evaluation therefore gets what every probe batch gets: one cache
     //! lookup per structure group, and same-shape programs run as the
     //! lanes of one density panel.
     //!
-    //! Every fan-out in this crate — [`NoisyExecutor::evaluate_probes`],
-    //! the day-level fan-out of [`accuracy_over_days`] and the noise-free
-    //! gradient sweeps of [`crate::probe::pure_fd_gradient`] — goes through
-    //! one helper, [`map_chunks`] (`std::thread::scope`; no external
-    //! thread-pool dependency). `evaluate_probes` chunks its probes in
-    //! structure order (by structure group, probes on the same features
-    //! adjacent), so an SPSA ± pair or a sample's finite-difference sweep
-    //! lands on one worker and can share its lanes. Results stay
-    //! **bit-identical to the sequential path**:
+    //! Every fan-out in this crate — the probe engine behind
+    //! [`NoisyExecutor::evaluate_probes`] and the noise-free gradient sweeps
+    //! of [`crate::probe::pure_fd_gradient`] — goes through one helper,
+    //! [`map_chunks`] (`std::thread::scope`; no external thread-pool
+    //! dependency). The engine chunks its probes in structure order (by
+    //! structure group, probes on the same features adjacent, then by
+    //! day), so an SPSA ± pair or a sample's finite-difference sweep lands
+    //! on one worker and can share its lanes, and a multi-day evaluation
+    //! splits its whole (day, sample) grid evenly instead of whole days.
+    //! Results stay **bit-identical to the sequential path**:
     //!
     //! - every evaluation draws shot noise from its own stream, derived
     //!   only from `(shot_seed, stream)` — the stream
@@ -1444,13 +1512,20 @@ pub mod parallel {
         accuracy(&preds, &labels)
     }
 
-    /// Accuracy of one weight vector over many days, fanned over days (the
-    /// outer loop of the paper's protocol for the static Table I methods).
+    /// Accuracy of one weight vector over many days (the outer loop of the
+    /// paper's protocol for the static Table I methods): one day-spanning
+    /// [`ProbeBatch`] over every (day, sample) pair through
+    /// [`NoisyExecutor::evaluate_probes_over_days`] on `threads` workers,
+    /// so the whole grid — not whole days — is split over the workers.
     ///
-    /// Day `d` uses `day_stream = d`, and within a day samples use
-    /// [`eval_stream`]`(d, i)` — exactly what per-day [`batch_accuracy`]
-    /// calls with `day_stream = d` produce, so day-level and sample-level
-    /// fan-out give bit-identical series.
+    /// Day `d` uses `day_stream = d`: sample `i` of day `d` runs on stream
+    /// [`eval_stream`]`(d, i)` under `days[d]` — exactly what per-day
+    /// [`batch_accuracy`] calls with `day_stream = d` produce, so the
+    /// series is bit-identical to them for every `threads`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty.
     pub fn accuracy_over_days(
         exec: &NoisyExecutor,
         days: &[&CalibrationSnapshot],
@@ -1459,19 +1534,20 @@ pub mod parallel {
         threads: usize,
     ) -> Vec<f64> {
         assert!(!samples.is_empty(), "empty evaluation set");
-        if days.len() < threads {
-            // Fewer days than cores: the day-level fan-out alone would
-            // leave workers idle, so fan each day's samples instead (same
-            // eval_stream ids, hence the same bits).
-            return (0..days.len())
-                .map(|d| batch_accuracy(exec, samples, weights, days[d], d as u64, threads))
-                .collect();
+        let mut batch = ProbeBatch::with_capacity(days.len() * samples.len());
+        for d in 0..days.len() {
+            for (i, s) in samples.iter().enumerate() {
+                batch.push_on_day(d, &s.features, weights, eval_stream(d as u64, i as u64));
+            }
         }
-        map_chunks(exec, days.len(), threads, |exec, range| {
-            range
-                .map(|d| batch_accuracy(exec, samples, weights, days[d], d as u64, 1))
-                .collect()
-        })
+        let labels: Vec<usize> = samples.iter().map(|s| s.label).collect();
+        exec.evaluate_probes_over_days(days, &batch, threads)
+            .chunks(samples.len())
+            .map(|day| {
+                let preds: Vec<usize> = day.iter().map(|z| predict(z)).collect();
+                accuracy(&preds, &labels)
+            })
+            .collect()
     }
 
     /// Maps contiguous chunks of `0..n` over up to `threads` scoped worker
@@ -1782,6 +1858,88 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn day_spanning_batch_matches_seeded_evaluations_bitwise() {
+        // Probes on three days, several of them bitwise-equal (features,
+        // weights) on different days: day 1 differs from day 0 only in
+        // readout, day 2 only in gate errors. Every probe must reproduce
+        // its standalone evaluation under its own day, so a bind + fuse
+        // shared across days or a readout taken from the wrong day breaks
+        // the bits.
+        let model = VqcModel::paper_model(4, 4, 4, 1);
+        let topo = Topology::ibm_belem();
+        let days = [
+            CalibrationSnapshot::uniform(&topo, 0, 2e-3, 3e-2, 0.02),
+            CalibrationSnapshot::uniform(&topo, 1, 2e-3, 3e-2, 0.09),
+            CalibrationSnapshot::uniform(&topo, 2, 2e-2, 1.5e-1, 0.02),
+        ];
+        let day_refs: Vec<&CalibrationSnapshot> = days.iter().collect();
+        let f_a = [0.4, 0.9, 1.3, 0.2];
+        let f_b = [1.7, 0.3, 2.2, 0.8];
+        let base = model.init_weights(5);
+        let nudged: Vec<f64> = base.iter().map(|w| w + 0.01).collect();
+        let mut compressed = base.clone();
+        compressed[2] = 0.0;
+        let probes: [(usize, &[f64], &[f64]); 10] = [
+            (0, &f_a, &base),
+            (1, &f_a, &base),
+            (2, &f_a, &base),
+            (2, &f_a, &base),
+            (0, &f_b, &nudged),
+            (2, &f_b, &nudged),
+            (1, &f_a, &compressed),
+            (0, &f_a, &compressed),
+            (1, &f_b, &base),
+            (0, &f_a, &base),
+        ];
+        let mut batch = ProbeBatch::new();
+        for (s, &(day, f, w)) in probes.iter().enumerate() {
+            batch.push_on_day(day, f, w, 40 + s as u64);
+        }
+        for backend in [SimBackend::Density, SimBackend::Trajectory] {
+            let exec = NoisyExecutor::new(
+                &model,
+                &topo,
+                NoiseOptions {
+                    backend,
+                    trajectories: 24,
+                    ..NoiseOptions::with_shots(1024, 17)
+                },
+            );
+            let want: Vec<Vec<f64>> = batch
+                .probes()
+                .iter()
+                .map(|p| exec.z_scores_seeded(p.features, p.weights, &days[p.day], p.stream))
+                .collect();
+            for threads in [1usize, 2, 3, 16] {
+                let got = exec.evaluate_probes_over_days(&day_refs, &batch, threads);
+                assert_eq!(got.len(), want.len());
+                for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+                    assert_eq!(g.len(), w.len());
+                    for (a, b) in g.iter().zip(w.iter()) {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{} probe {i} threads {threads}",
+                            backend.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "probe on day 1 of a 1-day batch")]
+    fn one_day_evaluation_rejects_probes_on_other_days() {
+        let (model, topo, exec) = setup();
+        let snap = CalibrationSnapshot::uniform(&topo, 0, 2e-3, 3e-2, 0.02);
+        let weights = model.init_weights(5);
+        let mut batch = ProbeBatch::new();
+        batch.push_on_day(1, &[0.1; 4], &weights, 0);
+        let _ = exec.evaluate_probes(&snap, &batch, 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use calibration::snapshot::CalibrationSnapshot;
 use calibration::topology::Topology;
 use qnn::data::Dataset;
 use qnn::executor::parallel::{accuracy_over_days, batch_accuracy, batch_z_scores, eval_stream};
-use qnn::executor::{NoiseOptions, NoisyExecutor};
+use qnn::executor::{NoiseOptions, NoisyExecutor, SimBackend};
 use qnn::model::VqcModel;
 
 fn setup() -> (
@@ -115,4 +115,37 @@ fn seeded_scores_are_call_order_independent() {
         &[again],
         "same stream must reproduce identical scores",
     );
+}
+
+#[test]
+fn trajectory_day_batch_matches_per_day_batches() {
+    // One day-spanning batch over 3 days, at thread counts below, equal
+    // to and above the day count: every split of the (day, sample) grid
+    // must give the per-day series.
+    let model = VqcModel::paper_model(4, 2, 4, 1);
+    let topo = Topology::ibm_belem();
+    let exec = NoisyExecutor::new(
+        &model,
+        &topo,
+        NoiseOptions {
+            backend: SimBackend::Trajectory,
+            trajectories: 16,
+            ..NoiseOptions::with_shots(512, 42)
+        },
+    );
+    let data = Dataset::seismic(12, 12, 9);
+    let weights = model.init_weights(5);
+    let history = FluctuatingHistory::generate(&topo, &HistoryConfig::belem_like(5, 11), 2);
+    let days: Vec<&CalibrationSnapshot> = history.online().iter().collect();
+    assert_eq!(days.len(), 3);
+    let per_day: Vec<f64> = (0..days.len())
+        .map(|d| batch_accuracy(&exec, &data.test, &weights, days[d], d as u64, 1))
+        .collect();
+    for threads in [1, 2, 4, 16] {
+        let series = accuracy_over_days(&exec, &days, &data.test, &weights, threads);
+        assert_eq!(series.len(), per_day.len());
+        for (d, (a, b)) in series.iter().zip(&per_day).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "day {d} threads {threads}");
+        }
+    }
 }

@@ -26,7 +26,7 @@
 
 use crate::fused::MatClass;
 use crate::math::{M2, M4};
-use crate::trajectory::{unitary1_inner, unitary2_inner, Quartet};
+use crate::trajectory::{unitary1_inner, unitary2_inner, Octet, Quartet};
 use core::arch::x86_64::{
     __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
     _mm256_storeu_pd, _mm256_sub_pd,
@@ -277,20 +277,28 @@ pub(crate) fn unitary1_avx2(
 }
 
 /// Octet-level counterpart of [`unitary1_avx2`]: applies one 2×2 unitary
-/// to all four strip pairs of the wire at strip mask `wm`, broadcasting
-/// the matrix entries once for the whole octet instead of once per pair.
-/// Each pair runs the exact same lane bodies (and scalar tails) as the
-/// pair kernel, so the results are bit-identical to four pair calls —
-/// this only amortises the call and broadcast overhead, which dominates
-/// when low-wire supergroups make the strips short.
+/// to every span of the window's pair plan for the wire at strip mask
+/// `wm`, broadcasting the matrix entries once for the whole window instead
+/// of once per span. Each span goes through the exact same lane bodies
+/// (and scalar tails) as the pair kernel, so the results are bit-identical
+/// to one pair call per span — this only amortises the call and broadcast
+/// overhead, which dominates when low-wire supergroups make the spans
+/// short.
 #[target_feature(enable = "avx2")]
-pub(crate) fn unitary1_octet_avx2(
-    m: &M2,
-    class: MatClass,
-    r: &mut [&mut [f64]; 8],
-    i: &mut [&mut [f64]; 8],
-    wm: usize,
-) {
+pub(crate) fn unitary1_octet_avx2(m: &M2, class: MatClass, o: &mut Octet<'_>, wm: usize) {
+    let spans = o.plan_pairs(wm);
+    let tail = |lanes: usize, r0: &mut [f64], i0: &mut [f64], r1: &mut [f64], i1: &mut [f64]| {
+        if lanes < r0.len() {
+            unitary1_inner(
+                m,
+                class,
+                &mut r0[lanes..],
+                &mut i0[lanes..],
+                &mut r1[lanes..],
+                &mut i1[lanes..],
+            );
+        }
+    };
     match class {
         MatClass::Diagonal => {
             let (d0, d1) = (m[0], m[3]);
@@ -298,27 +306,10 @@ pub(crate) fn unitary1_octet_avx2(
             let d0im = _mm256_set1_pd(d0.im);
             let d1re = _mm256_set1_pd(d1.re);
             let d1im = _mm256_set1_pd(d1.im);
-            for x in 0..8usize {
-                if x & wm != 0 {
-                    continue;
-                }
-                let [r0, r1] = r
-                    .get_disjoint_mut([x, x | wm])
-                    .expect("distinct octet strips");
-                let [i0, i1] = i
-                    .get_disjoint_mut([x, x | wm])
-                    .expect("distinct octet strips");
+            for i in 0..spans {
+                let (r0, i0, r1, i1) = o.pair(i);
                 let lanes = diag_lanes(d0re, d0im, d1re, d1im, r0, i0, r1, i1);
-                if lanes < r0.len() {
-                    unitary1_inner(
-                        m,
-                        class,
-                        &mut r0[lanes..],
-                        &mut i0[lanes..],
-                        &mut r1[lanes..],
-                        &mut i1[lanes..],
-                    );
-                }
+                tail(lanes, r0, i0, r1, i1);
             }
         }
         MatClass::Real => {
@@ -326,52 +317,18 @@ pub(crate) fn unitary1_octet_avx2(
             let m01 = _mm256_set1_pd(m[1].re);
             let m10 = _mm256_set1_pd(m[2].re);
             let m11 = _mm256_set1_pd(m[3].re);
-            for x in 0..8usize {
-                if x & wm != 0 {
-                    continue;
-                }
-                let [r0, r1] = r
-                    .get_disjoint_mut([x, x | wm])
-                    .expect("distinct octet strips");
-                let [i0, i1] = i
-                    .get_disjoint_mut([x, x | wm])
-                    .expect("distinct octet strips");
+            for i in 0..spans {
+                let (r0, i0, r1, i1) = o.pair(i);
                 let lanes = real_lanes(m00, m01, m10, m11, r0, i0, r1, i1);
-                if lanes < r0.len() {
-                    unitary1_inner(
-                        m,
-                        class,
-                        &mut r0[lanes..],
-                        &mut i0[lanes..],
-                        &mut r1[lanes..],
-                        &mut i1[lanes..],
-                    );
-                }
+                tail(lanes, r0, i0, r1, i1);
             }
         }
         MatClass::General => {
             let e = broadcast_m2(m);
-            for x in 0..8usize {
-                if x & wm != 0 {
-                    continue;
-                }
-                let [r0, r1] = r
-                    .get_disjoint_mut([x, x | wm])
-                    .expect("distinct octet strips");
-                let [i0, i1] = i
-                    .get_disjoint_mut([x, x | wm])
-                    .expect("distinct octet strips");
+            for i in 0..spans {
+                let (r0, i0, r1, i1) = o.pair(i);
                 let lanes = general_lanes(&e, r0, i0, r1, i1);
-                if lanes < r0.len() {
-                    unitary1_inner(
-                        m,
-                        class,
-                        &mut r0[lanes..],
-                        &mut i0[lanes..],
-                        &mut r1[lanes..],
-                        &mut i1[lanes..],
-                    );
-                }
+                tail(lanes, r0, i0, r1, i1);
             }
         }
     }

@@ -47,6 +47,23 @@
 //! (`QUCAD_TRAJ_BATCH`, default [`auto_panel_width`]) is purely a
 //! performance knob.
 //!
+//! # Tiling
+//!
+//! The panel runs one tiled pass per supergroup (a run of fused segments
+//! on at most three wires): the pass walks the panel in cache-sized tiles
+//! of the group's 2, 4 or 8 strips, and the group's whole atom chain runs
+//! over each tile before the next is loaded. A wire `q` has stride
+//! `2^q · B` elements, so on low wires the natural strips are shorter than
+//! a tile; pair and quartet passes then run each atom over a window of
+//! whole blocks, and octet passes gather `tile / s0` consecutive
+//! sub-octets (`s0` the lowest stride) into one window **by reference**:
+//! the chain is dispatched once per window, and each atom's kernel walks
+//! a span plan in which runs that are adjacent in memory with the same
+//! partner offset are coalesced into one kernel call. CNOTs swap strip
+//! references rather than data, and the net permutation is written back
+//! once per tile or window. None of this reorders any element's
+//! arithmetic, so every width and tiling gives the same bits.
+//!
 //! # Determinism
 //!
 //! All randomness comes from the caller-seeded RNG passed in; a fixed seed
@@ -814,23 +831,36 @@ fn jump1_inner(
 ) {
     let len = r0.len();
     let (i0, r1, i1) = (&mut i0[..len], &mut r1[..len], &mut i1[..len]);
-    // Walk jumping columns only (element `j` belongs to column `j % b`, so
-    // a column's amplitudes sit at stride `b`); with calibration-scale λ
-    // most atoms jump in no or few columns per chunk.
+    // Walk jumping columns only; with calibration-scale λ most atoms jump
+    // in no or few columns per chunk.
     for (c, &code) in row.iter().enumerate() {
-        let p = code as usize;
-        if p == 0 {
-            continue;
+        if code != 0 {
+            jump1_column(code as usize, c, b, r0, i0, r1, i1);
         }
-        let mut j = c;
-        while j < len {
-            let (n0, n1) = pauli_vals(p, (r0[j], i0[j]), (r1[j], i1[j]));
-            r0[j] = n0.0;
-            i0[j] = n0.1;
-            r1[j] = n1.0;
-            i1[j] = n1.1;
-            j += b;
-        }
+    }
+}
+
+/// Applies Pauli `p` to column `c` of a planar pair tile: element `j`
+/// belongs to column `j % b`, so a column's amplitudes sit at stride `b`
+/// from `c`.
+#[inline(always)]
+fn jump1_column(
+    p: usize,
+    c: usize,
+    b: usize,
+    r0: &mut [f64],
+    i0: &mut [f64],
+    r1: &mut [f64],
+    i1: &mut [f64],
+) {
+    let mut j = c;
+    while j < r0.len() {
+        let (n0, n1) = pauli_vals(p, (r0[j], i0[j]), (r1[j], i1[j]));
+        r0[j] = n0.0;
+        i0[j] = n0.1;
+        r1[j] = n1.0;
+        i1[j] = n1.1;
+        j += b;
     }
 }
 
@@ -1047,12 +1077,23 @@ fn apply_unitary2(kernel: KernelMode, m: &M4, swapped: bool, g: &mut Quartet<'_>
     }
 }
 
-/// Applies one row of per-column Pauli⊗Pauli jumps to a quartet tile: the
+/// Applies one row of per-column Pauli⊗Pauli jumps to a quartet tile (see
+/// [`jump2_column`]), walking the jumping columns only.
+#[inline(always)]
+fn jump2_inner(row: &[u8], b: usize, swapped: bool, g: &mut Quartet<'_>) {
+    for (c, &code) in row.iter().enumerate() {
+        if code != 0 {
+            jump2_column(code as usize, c, b, swapped, g);
+        }
+    }
+}
+
+/// Applies Pauli⊗Pauli branch `k` to column `c` of a quartet tile: the
 /// branch's first Pauli acts along the atom's first wire, then the second
 /// — each as two in-register pair applications with [`pauli_on`]'s exact
 /// formulas.
 #[inline(always)]
-fn jump2_inner(row: &[u8], b: usize, swapped: bool, g: &mut Quartet<'_>) {
+fn jump2_column(k: usize, c: usize, b: usize, swapped: bool, g: &mut Quartet<'_>) {
     // Wire-axis pair index sets: a Pauli on wire A couples (00,10) and
     // (01,11); on wire B it couples (00,01) and (10,11).
     const AXIS_A: [(usize, usize); 2] = [(0, 2), (1, 3)];
@@ -1063,35 +1104,28 @@ fn jump2_inner(row: &[u8], b: usize, swapped: bool, g: &mut Quartet<'_>) {
         (AXIS_A, AXIS_B)
     };
     let len = g.r[0].len();
-    // Walk jumping columns only (see `jump1_inner`).
-    for (c, &code) in row.iter().enumerate() {
-        let k = code as usize;
-        if k == 0 {
-            continue;
-        }
-        let (pa, pb) = (k >> 2, k & 3);
-        let mut j = c;
-        while j < len {
-            if pa != 0 {
-                for (x, y) in first_axis {
-                    let (n0, n1) = pauli_vals(pa, (g.r[x][j], g.i[x][j]), (g.r[y][j], g.i[y][j]));
-                    g.r[x][j] = n0.0;
-                    g.i[x][j] = n0.1;
-                    g.r[y][j] = n1.0;
-                    g.i[y][j] = n1.1;
-                }
+    let (pa, pb) = (k >> 2, k & 3);
+    let mut j = c;
+    while j < len {
+        if pa != 0 {
+            for (x, y) in first_axis {
+                let (n0, n1) = pauli_vals(pa, (g.r[x][j], g.i[x][j]), (g.r[y][j], g.i[y][j]));
+                g.r[x][j] = n0.0;
+                g.i[x][j] = n0.1;
+                g.r[y][j] = n1.0;
+                g.i[y][j] = n1.1;
             }
-            if pb != 0 {
-                for (x, y) in second_axis {
-                    let (n0, n1) = pauli_vals(pb, (g.r[x][j], g.i[x][j]), (g.r[y][j], g.i[y][j]));
-                    g.r[x][j] = n0.0;
-                    g.i[x][j] = n0.1;
-                    g.r[y][j] = n1.0;
-                    g.i[y][j] = n1.1;
-                }
-            }
-            j += b;
         }
+        if pb != 0 {
+            for (x, y) in second_axis {
+                let (n0, n1) = pauli_vals(pb, (g.r[x][j], g.i[x][j]), (g.r[y][j], g.i[y][j]));
+                g.r[x][j] = n0.0;
+                g.i[x][j] = n0.1;
+                g.r[y][j] = n1.0;
+                g.i[y][j] = n1.1;
+            }
+        }
+        j += b;
     }
 }
 
@@ -1343,71 +1377,242 @@ enum Pass3q<'a> {
     Skip,
 }
 
-/// Planar octet tile: the eight strips of both planes, indexed by the
-/// three-bit strip number in the group's `(A, B, C)` wire basis.
-struct Octet<'a> {
-    r: [&'a mut [f64]; 8],
-    i: [&'a mut [f64]; 8],
+/// `N` equal-length runs that one kernel call processes together: the
+/// runs of an atom's strip tuple (pair: first, second; quartet: quartet
+/// order), as element offsets into the planes.
+#[derive(Debug, Clone, Copy)]
+struct Span<const N: usize> {
+    at: [usize; N],
+    len: usize,
 }
 
-/// Splits eight disjoint equal-length strips out of one plane (starts in
-/// strip-index order, not necessarily increasing).
-///
-/// # Panics
-///
-/// Panics if the strips overlap or escape the plane.
-fn strips8(plane: &mut [f64], starts: [usize; 8], len: usize) -> [&mut [f64]; 8] {
-    plane
-        .get_disjoint_mut(starts.map(|s| s..s + len))
-        .expect("octet strips overlap or escape the plane")
-}
-
-/// Borrows one strip pair (`x != y`) of an octet as the four planar slices
-/// the pair kernels take.
-#[inline(always)]
-fn octet_pair<'q>(
-    o: &'q mut Octet<'_>,
-    x: usize,
-    y: usize,
-) -> (&'q mut [f64], &'q mut [f64], &'q mut [f64], &'q mut [f64]) {
-    let [r0, r1] = o.r.get_disjoint_mut([x, y]).expect("distinct octet strips");
-    let [i0, i1] = o.i.get_disjoint_mut([x, y]).expect("distinct octet strips");
-    (&mut **r0, &mut **i0, &mut **r1, &mut **i1)
-}
-
-/// Borrows four distinct octet strips as a quartet tile, in the given
-/// quartet order.
-#[inline(always)]
-fn octet_quartet<'q>(o: &'q mut Octet<'_>, idx: [usize; 4]) -> Quartet<'q> {
-    let [r0, r1, r2, r3] = o.r.get_disjoint_mut(idx).expect("distinct octet strips");
-    let [i0, i1, i2, i3] = o.i.get_disjoint_mut(idx).expect("distinct octet strips");
-    Quartet {
-        r: [&mut **r0, &mut **r1, &mut **r2, &mut **r3],
-        i: [&mut **i0, &mut **i1, &mut **i2, &mut **i3],
+/// Coalesces the runs of `tuples` (strips, given by their current offsets
+/// from a sub-octet base) over every base into maximal spans: a run
+/// extends the previous span when each of its `N` runs starts where the
+/// previous span's run of the same role ends. Within a base the tuples are
+/// visited in increasing first offset; bases are visited in increasing
+/// order.
+fn plan_spans<const N: usize>(
+    tuples: &mut [[usize; N]],
+    bases: &[usize],
+    len: usize,
+    out: &mut Vec<Span<N>>,
+) {
+    tuples.sort_unstable_by_key(|t| t[0]);
+    out.clear();
+    for &base in bases {
+        for t in tuples.iter() {
+            let at = t.map(|o| base + o);
+            match out.last_mut() {
+                Some(last) if (0..N).all(|j| at[j] == last.at[j] + last.len) => last.len += len,
+                _ => out.push(Span { at, len }),
+            }
+        }
     }
 }
 
-/// Applies a three-qubit supergroup chain to one octet tile: one-qubit
+/// Planar octet window: the eight strips of both planes, indexed by the
+/// three-bit strip number in the group's `(A, B, C)` wire basis. A window
+/// covers one or more sub-octets of the panel walk: strip `x` is the run
+/// of `len` elements at `base + off[x]` for every `base` in `bases`, so
+/// one chain dispatch serves every sub-octet of the window without
+/// copying them together.
+///
+/// Each atom's kernel runs over a **span plan**: the atom's strip pairs
+/// (or quartets) over all sub-octets, coalesced wherever consecutive runs
+/// are adjacent in both planes with the same partner offset. A one-qubit
+/// atom on a wire above the lowest one, for instance, pairs whole
+/// contiguous blocks of sub-octets, so short low-wire runs cost one long
+/// kernel call instead of one call per run.
+///
+/// Invariant (established by [`Octet::new`], kept by every method): the
+/// `8 · bases.len()` runs are pairwise disjoint, and `off` is a
+/// permutation of `home` (the strips' natural offsets), so distinct
+/// strips always name distinct runs. A plan covers each run of its strips
+/// in exactly one span and one role, so the runs of one span are disjoint
+/// from each other; every span handed to a kernel is checked to lie
+/// inside both planes.
+pub(crate) struct Octet<'a> {
+    re: *mut f64,
+    im: *mut f64,
+    /// Elements per plane.
+    plane: usize,
+    /// Where strip `x`'s amplitudes currently live, relative to a
+    /// sub-octet base (CNOTs permute these references).
+    off: [usize; 8],
+    /// Strip `x`'s natural offset, where [`Octet::materialize`] puts its
+    /// amplitudes back.
+    home: [usize; 8],
+    bases: &'a [usize],
+    len: usize,
+    pairs: &'a mut Vec<Span<2>>,
+    quartets: &'a mut Vec<Span<4>>,
+    _planes: std::marker::PhantomData<&'a mut [f64]>,
+}
+
+/// Reusable span-plan buffers of one [`run_octet_pass`].
+#[derive(Default)]
+struct OctetScratch {
+    pairs: Vec<Span<2>>,
+    quartets: Vec<Span<4>>,
+}
+
+impl<'a> Octet<'a> {
+    /// Views the runs `base + home[x] .. + len` of both planes as one
+    /// octet window.
+    ///
+    /// # Safety
+    ///
+    /// The `8 · bases.len()` runs must be pairwise disjoint (distinct
+    /// strips, and distinct bases, never share an element).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the planes differ in length; a kernel call panics if its
+    /// span escapes them.
+    // SAFETY: see `# Safety`; the window's spans rely on that contract.
+    unsafe fn new(
+        re: &'a mut [f64],
+        im: &'a mut [f64],
+        home: [usize; 8],
+        bases: &'a [usize],
+        len: usize,
+        scratch: &'a mut OctetScratch,
+    ) -> Self {
+        assert_eq!(re.len(), im.len(), "re/im planes differ in length");
+        Octet {
+            plane: re.len(),
+            re: re.as_mut_ptr(),
+            im: im.as_mut_ptr(),
+            off: home,
+            home,
+            bases,
+            len,
+            pairs: &mut scratch.pairs,
+            quartets: &mut scratch.quartets,
+            _planes: std::marker::PhantomData,
+        }
+    }
+
+    /// Both planes' run of `len` elements at plane offset `at`.
+    ///
+    /// # Safety
+    ///
+    /// `at .. at + len` must be covered by the window's runs, and the
+    /// caller must not hold another live view of any of its elements nor
+    /// keep the slices past its `&mut self` borrow.
+    #[inline(always)]
+    // SAFETY: see `# Safety`; every caller states how it upholds it.
+    unsafe fn run(&mut self, at: usize, len: usize) -> (&'a mut [f64], &'a mut [f64]) {
+        assert!(at + len <= self.plane, "octet span escapes the plane");
+        // SAFETY: the span is inside both planes (asserted above; both
+        // planes have `self.plane` elements); exclusivity is the caller's
+        // contract above.
+        unsafe {
+            (
+                std::slice::from_raw_parts_mut(self.re.add(at), len),
+                std::slice::from_raw_parts_mut(self.im.add(at), len),
+            )
+        }
+    }
+
+    /// Plans the strip pairs `(x, x | wm)` of every `x` without the `wm`
+    /// bit (a one-qubit atom on that wire, first strip first); returns the
+    /// number of spans, each one [`Self::pair`].
+    pub(crate) fn plan_pairs(&mut self, wm: usize) -> usize {
+        let mut tuples = [[0usize; 2]; 4];
+        for (t, x) in tuples.iter_mut().zip((0..8usize).filter(|x| x & wm == 0)) {
+            *t = [self.off[x], self.off[x | wm]];
+        }
+        plan_spans(&mut tuples, self.bases, self.len, self.pairs);
+        self.pairs.len()
+    }
+
+    /// Span `i` of the current pair plan as the four planar slices the
+    /// pair kernels take.
+    #[inline(always)]
+    pub(crate) fn pair(&mut self, i: usize) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
+        let Span { at, len } = self.pairs[i];
+        // SAFETY: the two runs of one span belong to two distinct strips
+        // of the plan (disjoint, see the struct invariant) and are
+        // returned under the `&mut self` borrow.
+        let ((r0, i0), (r1, i1)) = unsafe { (self.run(at[0], len), self.run(at[1], len)) };
+        (r0, i0, r1, i1)
+    }
+
+    /// Plans the two quartets of a two-qubit atom on the wires at strip
+    /// masks `am`/`bm` (one per value of the free strip bit, in the
+    /// segment's `(A, B)` order with wire A as the quartet's most
+    /// significant bit); returns the number of spans, each one
+    /// [`Self::quartet`].
+    fn plan_quartets(&mut self, am: usize, bm: usize) -> usize {
+        let fm = 7usize ^ am ^ bm;
+        let mut tuples = [0, fm].map(|f| [f, f | bm, f | am, f | am | bm].map(|x| self.off[x]));
+        plan_spans(&mut tuples, self.bases, self.len, self.quartets);
+        self.quartets.len()
+    }
+
+    /// Span `i` of the current quartet plan as a quartet tile.
+    fn quartet(&mut self, i: usize) -> Quartet<'_> {
+        let Span { at, len } = self.quartets[i];
+        // SAFETY: the four runs of one span belong to four distinct strips
+        // of the plan (disjoint, see the struct invariant) and are
+        // returned under the `&mut self` borrow.
+        let [(r0, i0), (r1, i1), (r2, i2), (r3, i3)] = at.map(|o| unsafe { self.run(o, len) });
+        Quartet {
+            r: [r0, r1, r2, r3],
+            i: [i0, i1, i2, i3],
+        }
+    }
+
+    /// Swaps the strip references `x` and `y` (a CNOT: the amplitudes keep
+    /// their places, only their labels move).
+    #[inline(always)]
+    fn swap(&mut self, x: usize, y: usize) {
+        self.off.swap(x, y);
+    }
+
+    /// Moves every strip back to its natural offset — the octet
+    /// counterpart of [`materialize_strips`]. An identity permutation
+    /// (every back-to-back CNOT pair) moves nothing.
+    fn materialize(&mut self) {
+        for q in 0..8 {
+            while self.off[q] != self.home[q] {
+                let p = self
+                    .off
+                    .iter()
+                    .position(|&o| o == self.home[q])
+                    .expect("strip offsets are a permutation");
+                // Strips `q != p` (strip `q` is not home yet) as one pair.
+                let mut tuple = [[self.off[q], self.off[p]]];
+                plan_spans(&mut tuple, self.bases, self.len, self.pairs);
+                for i in 0..self.pairs.len() {
+                    let (rq, iq, rp, ip) = self.pair(i);
+                    rq.swap_with_slice(rp);
+                    iq.swap_with_slice(ip);
+                }
+                self.off.swap(q, p);
+            }
+        }
+    }
+}
+
+/// Applies a three-qubit supergroup chain to one octet window: one-qubit
 /// atoms run the exact pair kernels over the four strip pairs of their
 /// wire, two-qubit atoms run the exact quartet kernels over the two
 /// quartets spanned by their wires, CNOTs permute the strip references
-/// (materialised once at chain end, see [`materialize_strips`]).
+/// (materialised once at chain end). Each atom's kernel walks the
+/// window's span plan inside its own dispatch.
 #[inline(always)]
 fn chain_3q_tile(kernel: KernelMode, passes: &[Pass3q], o: &mut Octet<'_>, b: usize) {
-    // `o.r[x]`/`o.i[x]` always hold octet index `x`'s amplitudes;
-    // `slot[x]` tracks the physical strip they currently occupy.
-    let mut slot = [0usize, 1, 2, 3, 4, 5, 6, 7];
     for pass in passes {
         match *pass {
             Pass3q::Unitary1(m, class, wb) => {
                 let wm = 1usize << wb;
                 match kernel {
                     KernelMode::Scalar => {
-                        for x in 0..8usize {
-                            if x & wm != 0 {
-                                continue;
-                            }
-                            let (r0, i0, r1, i1) = octet_pair(o, x, x | wm);
+                        for i in 0..o.plan_pairs(wm) {
+                            let (r0, i0, r1, i1) = o.pair(i);
                             unitary1_inner(m, class, r0, i0, r1, i1);
                         }
                     }
@@ -1417,9 +1622,7 @@ fn chain_3q_tile(kernel: KernelMode, passes: &[Pass3q], o: &mut Octet<'_>, b: us
                         // `avx2_supported()` returned true, so the avx2
                         // target feature is available on this CPU.
                         unsafe {
-                            crate::panel_simd::unitary1_octet_avx2(
-                                m, class, &mut o.r, &mut o.i, wm,
-                            );
+                            crate::panel_simd::unitary1_octet_avx2(m, class, o, wm);
                         }
                         #[cfg(not(target_arch = "x86_64"))]
                         unreachable!("KernelMode::Avx2 cannot be constructed off x86_64");
@@ -1427,59 +1630,57 @@ fn chain_3q_tile(kernel: KernelMode, passes: &[Pass3q], o: &mut Octet<'_>, b: us
                 }
             }
             Pass3q::Jump1(row, wb) => {
-                let wm = 1usize << wb;
-                for x in 0..8usize {
-                    if x & wm != 0 {
-                        continue;
+                let spans = o.plan_pairs(1usize << wb);
+                for (c, &code) in row.iter().enumerate().filter(|(_, &code)| code != 0) {
+                    for i in 0..spans {
+                        let (r0, i0, r1, i1) = o.pair(i);
+                        jump1_column(code as usize, c, b, r0, i0, r1, i1);
                     }
-                    let (r0, i0, r1, i1) = octet_pair(o, x, x | wm);
-                    jump1_inner(row, b, r0, i0, r1, i1);
                 }
             }
             Pass3q::Swap(cb, tb) => {
                 let cm = 1usize << cb;
                 let tm = 1usize << tb;
-                for x in 0..8usize {
-                    if x & cm == 0 || x & tm != 0 {
-                        continue;
-                    }
-                    o.r.swap(x, x | tm);
-                    o.i.swap(x, x | tm);
-                    slot.swap(x, x | tm);
+                for x in (0..8usize).filter(|x| x & cm != 0 && x & tm == 0) {
+                    o.swap(x, x | tm);
                 }
             }
             Pass3q::Unitary2(m, swapped, ab, bb) => {
-                let am = 1usize << ab;
-                let bm = 1usize << bb;
-                // The strip bit outside the atom's wires is free; one
-                // quartet per value of it, in the segment's (A, B) order
-                // (wire A as the quartet's most significant bit).
-                let fm = 7usize ^ am ^ bm;
-                for f in [0, fm] {
-                    let mut g = octet_quartet(o, [f, f | bm, f | am, f | am | bm]);
-                    apply_unitary2(kernel, m, swapped, &mut g);
+                for i in 0..o.plan_quartets(1usize << ab, 1usize << bb) {
+                    apply_unitary2(kernel, m, swapped, &mut o.quartet(i));
                 }
             }
             Pass3q::Jump2(row, swapped, ab, bb) => {
-                let am = 1usize << ab;
-                let bm = 1usize << bb;
-                let fm = 7usize ^ am ^ bm;
-                for f in [0, fm] {
-                    let mut g = octet_quartet(o, [f, f | bm, f | am, f | am | bm]);
-                    jump2_inner(row, b, swapped, &mut g);
+                let spans = o.plan_quartets(1usize << ab, 1usize << bb);
+                for (c, &code) in row.iter().enumerate().filter(|(_, &code)| code != 0) {
+                    for i in 0..spans {
+                        jump2_column(code as usize, c, b, swapped, &mut o.quartet(i));
+                    }
                 }
             }
             Pass3q::Skip => {}
         }
     }
-    materialize_strips(&mut o.r, &mut o.i, &mut slot);
+    o.materialize();
 }
 
 /// Executes a three-qubit pass chain over the whole panel in a single
-/// tiled pass — the octet counterpart of [`run_quartet_pass`]: each octet
-/// tile (eight strips in the supergroup's `(A, B, C)` wire basis) hosts
-/// the whole chain in cache, so a full entangling layer plus its noise
-/// interleave costs one panel memory pass.
+/// tiled pass — the octet counterpart of [`run_quartet_pass`]: each
+/// cache-sized octet window (eight strips in the supergroup's `(A, B, C)`
+/// wire basis) hosts the whole chain, so a full entangling layer plus its
+/// noise interleave costs one panel memory pass.
+///
+/// The panel is walked as nested half-blocks of the three sorted wire
+/// strides `s0 < s1 < s2`: each sub-octet start `ts` owns the strips at
+/// `ts + {0,su} + {0,sv} + {0,sw}`, each at most a tile long. When the
+/// lowest wire's stride `s0` is shorter than a tile (low wires: as short
+/// as `b` elements for qubit 0), one window takes `tile / s0` consecutive
+/// sub-octets by reference, the chain is dispatched once per window, and
+/// each atom's kernel runs over the window's coalesced spans rather than
+/// once per sub-octet. Every kernel is elementwise across strip positions
+/// (the jump kernels map position `j` to column `j % b`, and every run
+/// starts at a multiple of `b`), so each element sees bit-for-bit the
+/// arithmetic of its own sub-octet.
 #[allow(clippy::too_many_arguments)]
 fn run_octet_pass(
     kernel: KernelMode,
@@ -1499,7 +1700,7 @@ fn run_octet_pass(
     let mut sorted = [su, sv, sw];
     sorted.sort_unstable();
     let [s0, s1, s2] = sorted;
-    debug_assert!(
+    assert!(
         b > 0
             && s0 < s1
             && s1 < s2
@@ -1509,21 +1710,28 @@ fn run_octet_pass(
         "wire strides for ({u}, {v}, {w}) do not tile the {total}-element \
          panel (wire out of range, aliased wires, or corrupt panel shape)"
     );
+    // Octet index → offset of that strip from its sub-octet's start.
+    let home: [usize; 8] = std::array::from_fn(|x| {
+        (if x & 4 != 0 { su } else { 0 })
+            + (if x & 2 != 0 { sv } else { 0 })
+            + (if x & 1 != 0 { sw } else { 0 })
+    });
     let tile = b * (TILE_ELEMS / b).max(1);
-    if s0 <= GATHER_STRIP_MAX {
-        // Low-wire groups: the natural octet strips are only `s0` elements
-        // long (as short as `b` when the lowest wire is qubit 0), so
-        // per-octet chain dispatch and vector remainders would dominate
-        // the actual arithmetic. Gather many short octets into one
-        // contiguous scratch octet and run the chain there instead.
-        run_octet_gathered(kernel, re, im, b, u, v, w, passes);
-        return;
-    }
     let len_cap = tile.min(s0);
-    // Walk the panel as nested half-blocks of the three sorted strides:
-    // each tile start `ts` owns the octet at `ts + {0,su} + {0,sv} +
-    // {0,sw}`, and the loop bounds keep every combination disjoint and
-    // panel-covering (each stride divides the next, as asserted above).
+    let runs_cap = (tile / len_cap).max(1);
+    let mut bases: Vec<usize> = Vec::with_capacity(runs_cap);
+    let mut scratch = OctetScratch::default();
+    let mut window_len = len_cap;
+    let mut run_window = |bases: &[usize], len: usize| {
+        // The walk below yields each sub-octet start once, and the runs
+        // `ts + home[x] .. + len` of all starts and strips tile the panel
+        // without overlap (each stride divides the next, as asserted
+        // above; a sub-octet's runs are at most `s0` long).
+        // SAFETY: a window holds a subset of those runs, so they are
+        // pairwise disjoint.
+        let mut o = unsafe { Octet::new(re, im, home, bases, len, &mut scratch) };
+        chain_3q_tile(kernel, passes, &mut o, b);
+    };
     let mut b2 = 0usize;
     while b2 < total {
         let mut b1 = b2;
@@ -1533,18 +1741,12 @@ fn run_octet_pass(
                 let mut ts = b0;
                 while ts < b0 + s0 {
                     let len = len_cap.min(b0 + s0 - ts);
-                    let mut starts = [0usize; 8];
-                    for (lidx, start) in starts.iter_mut().enumerate() {
-                        *start = ts
-                            + if lidx & 4 != 0 { su } else { 0 }
-                            + if lidx & 2 != 0 { sv } else { 0 }
-                            + if lidx & 1 != 0 { sw } else { 0 };
+                    if !bases.is_empty() && (len != window_len || bases.len() == runs_cap) {
+                        run_window(&bases, window_len);
+                        bases.clear();
                     }
-                    let mut o = Octet {
-                        r: strips8(re, starts, len),
-                        i: strips8(im, starts, len),
-                    };
-                    chain_3q_tile(kernel, passes, &mut o, b);
+                    window_len = len;
+                    bases.push(ts);
                     ts += len;
                 }
                 b0 += 2 * s0;
@@ -1553,121 +1755,8 @@ fn run_octet_pass(
         }
         b2 += 2 * s2;
     }
-}
-
-/// Longest natural strip (in elements) the gathered octet path takes
-/// over: above this the direct per-octet walk already amortises its
-/// dispatch cost over enough elements that the gather/scatter's two extra
-/// panel traversals would be a net loss (measured crossover on the
-/// guadalupe workload); at or below it the chain dispatch per tiny octet
-/// dominates the copies.
-const GATHER_STRIP_MAX: usize = 4;
-
-/// Small-stride variant of [`run_octet_pass`]: gathers `runs_cap` short
-/// octets (strip runs of `s0` elements each) into one contiguous scratch
-/// octet, runs the whole chain there, and scatters the strips back.
-///
-/// Concatenation is exact: every panel kernel is elementwise across strip
-/// positions (pair/quartet kernels combine equal positions of different
-/// strips, jump kernels map position `j` to column `j % b`), and each
-/// gathered run starts at a multiple of `s0` — itself a multiple of the
-/// column count `b` — so every element sees bit-for-bit the arithmetic it
-/// would see in its natural octet, just batched behind one chain dispatch
-/// instead of hundreds.
-#[allow(clippy::too_many_arguments)]
-fn run_octet_gathered(
-    kernel: KernelMode,
-    re: &mut [f64],
-    im: &mut [f64],
-    b: usize,
-    u: usize,
-    v: usize,
-    w: usize,
-    passes: &[Pass3q],
-) {
-    let su = (1usize << u) * b;
-    let sv = (1usize << v) * b;
-    let sw = (1usize << w) * b;
-    let total = re.len();
-    let mut sorted = [su, sv, sw];
-    sorted.sort_unstable();
-    let [s0, s1, s2] = sorted;
-    let tile = b * (TILE_ELEMS / b).max(1);
-    let runs_cap = (tile / s0).max(1);
-    let cap = runs_cap * s0;
-    // Octet-index → panel offset of that strip within a tile base.
-    let offs: [usize; 8] = std::array::from_fn(|lidx| {
-        (if lidx & 4 != 0 { su } else { 0 })
-            + (if lidx & 2 != 0 { sv } else { 0 })
-            + (if lidx & 1 != 0 { sw } else { 0 })
-    });
-    let mut sr = vec![0.0f64; 8 * cap];
-    let mut si = vec![0.0f64; 8 * cap];
-    let mut bases: Vec<usize> = Vec::with_capacity(runs_cap);
-    // Same panel walk as `run_octet_pass` (each base owns one octet of
-    // `s0`-element strips), buffering bases until a scratch fill.
-    let mut b2 = 0usize;
-    while b2 < total {
-        let mut b1 = b2;
-        while b1 < b2 + s2 {
-            let mut b0 = b1;
-            while b0 < b1 + s1 {
-                bases.push(b0);
-                if bases.len() == runs_cap {
-                    flush_gathered(
-                        kernel, passes, re, im, &bases, offs, s0, cap, &mut sr, &mut si, b,
-                    );
-                    bases.clear();
-                }
-                b0 += 2 * s0;
-            }
-            b1 += 2 * s1;
-        }
-        b2 += 2 * s2;
-    }
-    flush_gathered(
-        kernel, passes, re, im, &bases, offs, s0, cap, &mut sr, &mut si, b,
-    );
-}
-
-/// Gather → chain → scatter for one scratch fill of [`run_octet_gathered`].
-#[allow(clippy::too_many_arguments)]
-fn flush_gathered(
-    kernel: KernelMode,
-    passes: &[Pass3q],
-    re: &mut [f64],
-    im: &mut [f64],
-    bases: &[usize],
-    offs: [usize; 8],
-    s0: usize,
-    cap: usize,
-    sr: &mut [f64],
-    si: &mut [f64],
-    b: usize,
-) {
-    if bases.is_empty() {
-        return;
-    }
-    let run_len = bases.len() * s0;
-    for (lidx, &off) in offs.iter().enumerate() {
-        for (k, &ts) in bases.iter().enumerate() {
-            let dst = lidx * cap + k * s0;
-            sr[dst..dst + s0].copy_from_slice(&re[ts + off..ts + off + s0]);
-            si[dst..dst + s0].copy_from_slice(&im[ts + off..ts + off + s0]);
-        }
-    }
-    let starts: [usize; 8] = std::array::from_fn(|lidx| lidx * cap);
-    let mut o = Octet {
-        r: strips8(sr, starts, run_len),
-        i: strips8(si, starts, run_len),
-    };
-    chain_3q_tile(kernel, passes, &mut o, b);
-    for (lidx, &off) in offs.iter().enumerate() {
-        for (k, &ts) in bases.iter().enumerate() {
-            let src = lidx * cap + k * s0;
-            re[ts + off..ts + off + s0].copy_from_slice(&sr[src..src + s0]);
-            im[ts + off..ts + off + s0].copy_from_slice(&si[src..src + s0]);
-        }
+    if !bases.is_empty() {
+        run_window(&bases, window_len);
     }
 }
 

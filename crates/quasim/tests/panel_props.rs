@@ -8,7 +8,8 @@ use proptest::prelude::*;
 use quasim::fused::{FusedProgram, ProgramBuilder};
 use quasim::gate::GateKind;
 use quasim::trajectory::{
-    estimate_prob_one, estimate_prob_one_panel, KernelMode, TrajectoryPanel, TrajectoryWorkspace,
+    estimate_prob_one, estimate_prob_one_panel, supergroup_plan, KernelMode, TrajectoryPanel,
+    TrajectoryWorkspace,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -183,6 +184,80 @@ proptest! {
                 "width {} qubit {}: {} vs {}",
                 width, q, got.p_one[q], reference.p_one[q]
             );
+        }
+    }
+
+    /// Low-wire octet windows: on a 12-qubit register, three-wire
+    /// supergroups whose lowest wire is 0, 1 or 2 and whose other wires
+    /// are 6 or above have a lowest stride shorter than a tile, so each
+    /// pass dispatches its chain once per window of many sub-octets. CNOTs
+    /// in both orientations (reference swaps that do and do not cancel),
+    /// two-qubit depolarising jumps, RY and one-qubit jumps on every wire
+    /// of each group must still give the per-trajectory estimate bit for
+    /// bit, at every width and under both kernel modes.
+    #[test]
+    fn low_wire_octet_windows_bit_identical(
+        seed in any::<u64>(),
+        width in prop_oneof![Just(1usize), Just(3), Just(8), Just(16)],
+    ) {
+        const N: usize = 12;
+        const GROUPS: [(usize, usize, usize); 3] = [(0, 6, 9), (1, 7, 10), (2, 8, 11)];
+        let ry = |b: &mut ProgramBuilder, q: usize, theta: f64| {
+            b.unitary_1q(q, GateKind::Ry.entries_1q(theta).unwrap());
+        };
+        let mut b = ProgramBuilder::new(N);
+        for q in 0..N {
+            ry(&mut b, q, 0.3 + 0.2 * q as f64);
+        }
+        for (lo, h1, h2) in GROUPS {
+            b.cx(lo, h1);
+            b.depolarize_2q(0.2, lo, h1);
+            ry(&mut b, lo, 0.7);
+            b.depolarize_1q(lo, 0.15);
+            b.cx(h2, lo);
+            b.depolarize_2q(0.2, h2, lo);
+            ry(&mut b, h1, -0.4);
+            b.depolarize_1q(h1, 0.15);
+            b.cx(h1, h2);
+            b.depolarize_2q(0.2, h1, h2);
+            ry(&mut b, h2, 1.1);
+            b.depolarize_1q(h2, 0.15);
+            b.cx(lo, h1);
+            b.unitary_2q(h2, lo, GateKind::Cry.entries_2q(0.8).unwrap());
+        }
+        let program = b.finish();
+        let plan = supergroup_plan(&program);
+        for (lo, h1, h2) in GROUPS {
+            let mut want = [lo, h1, h2];
+            want.sort_unstable();
+            prop_assert!(
+                plan.iter().any(|g| {
+                    let mut wires = [Some(g.u), g.v, g.w].map(|q| q.unwrap_or(usize::MAX));
+                    wires.sort_unstable();
+                    wires == want
+                }),
+                "no octet supergroup on wires {:?}", want
+            );
+        }
+        let qubits: Vec<usize> = (0..N).collect();
+        let mut ws = TrajectoryWorkspace::new();
+        let reference = estimate_prob_one(&mut ws, &program, &qubits, 8, seed);
+        let mut modes = vec![KernelMode::Scalar];
+        if KernelMode::avx2_supported() {
+            modes.push(KernelMode::Avx2);
+        }
+        for mode in modes {
+            let mut panel = TrajectoryPanel::new();
+            panel.set_kernel_mode(mode);
+            let got = estimate_prob_one_panel(&mut panel, &program, &qubits, 8, seed, width);
+            for q in 0..N {
+                prop_assert!(
+                    got.p_one[q].to_bits() == reference.p_one[q].to_bits()
+                        && got.std_err[q].to_bits() == reference.std_err[q].to_bits(),
+                    "{:?} width {} qubit {}: {} vs {}",
+                    mode, width, q, got.p_one[q], reference.p_one[q]
+                );
+            }
         }
     }
 
