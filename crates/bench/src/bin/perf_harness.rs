@@ -377,10 +377,15 @@ fn main() {
             );
         }
 
-        // The same step in the pure environment: the prefix-sharing probe
-        // engine versus full per-probe state-vector reruns (ungated — the
-        // pure path has no committed baseline section yet).
-        let pure_batched = report.time("train_step_mnist4_pure", false, || {
+        // The same step in the pure environment: the prefix-sharing,
+        // lane-grouped probe engine versus full per-probe state-vector
+        // reruns (ungated — the pure path has no committed baseline
+        // section yet). One step takes a few ms, so a sample repeats it
+        // `PURE_STEPS` times (≥ 10 ms) and the section is the median of
+        // `PURE_SAMPLES` samples.
+        const PURE_STEPS: usize = 8;
+        const PURE_SAMPLES: usize = 5;
+        let pure_step = || {
             qnn::train::train_masked_with_threads(
                 &exp.model,
                 train_subset,
@@ -390,7 +395,14 @@ fn main() {
                 &trainable,
                 1,
             )
-        });
+        };
+        let pure_batched =
+            report.time_median("train_step_mnist4_pure", false, PURE_SAMPLES, || {
+                (1..PURE_STEPS).for_each(|_| {
+                    std::hint::black_box(pure_step());
+                });
+                pure_step()
+            });
         let pure_sequential = report.time("train_step_mnist4_pure_sequential", false, || {
             qnn::train::train_masked_sequential(
                 &exp.model,
@@ -406,11 +418,12 @@ fn main() {
             "pure batched training diverged from the sequential reference"
         );
         let wall = |name: &str| report.section(name).expect("timed above").wall_ms;
+        let batched_step = wall("train_step_mnist4_pure") / PURE_STEPS as f64;
         println!(
-            "train-step (pure fd): sequential {:.1} ms, batched {:.1} ms -> {:.2}x",
+            "train-step (pure fd): sequential {:.1} ms, batched {batched_step:.2} ms/step \
+             (median of {PURE_SAMPLES} x {PURE_STEPS} steps) -> {:.2}x",
             wall("train_step_mnist4_pure_sequential"),
-            wall("train_step_mnist4_pure"),
-            wall("train_step_mnist4_pure_sequential") / wall("train_step_mnist4_pure")
+            wall("train_step_mnist4_pure_sequential") / batched_step
         );
     }
 

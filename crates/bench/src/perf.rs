@@ -64,6 +64,37 @@ impl BenchReport {
         out
     }
 
+    /// Times `f` `samples` times and records the median as one section
+    /// (for sections too short to time once); passes the last value
+    /// through.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is zero.
+    pub fn time_median<T>(
+        &mut self,
+        name: &str,
+        gated: bool,
+        samples: usize,
+        mut f: impl FnMut() -> T,
+    ) -> T {
+        assert!(samples > 0, "need at least one sample");
+        let mut walls = Vec::with_capacity(samples);
+        let mut out = None;
+        for _ in 0..samples {
+            let t0 = Instant::now();
+            out = Some(f());
+            walls.push(t0.elapsed().as_secs_f64() * 1e3);
+        }
+        walls.sort_by(f64::total_cmp);
+        self.sections.push(Section {
+            name: name.to_string(),
+            wall_ms: walls[samples / 2],
+            gated,
+        });
+        out.expect("at least one sample")
+    }
+
     /// Looks up a section by name.
     pub fn section(&self, name: &str) -> Option<&Section> {
         self.sections.iter().find(|s| s.name == name)
@@ -527,6 +558,19 @@ mod tests {
         let mut current = sample();
         current.sections[0].name = "renamed".into();
         assert!(compare_reports(&current, &baseline, 0.25).is_empty());
+    }
+
+    #[test]
+    fn time_median_records_one_section() {
+        let mut r = BenchReport::new("local", 1, 1.0);
+        let mut calls = 0;
+        let last = r.time_median("s", false, 3, || {
+            calls += 1;
+            calls
+        });
+        assert_eq!((calls, last), (3, 3));
+        assert_eq!(r.sections.len(), 1);
+        assert!(r.section("s").is_some_and(|s| s.wall_ms >= 0.0 && !s.gated));
     }
 
     #[test]

@@ -14,30 +14,51 @@
 //! [`crate::executor::pure_z_scores`] at the correspondingly shifted
 //! weight vector, bit for bit. Gates before the divergence point bind to
 //! identical [`quasim::gate::BoundGate`]s (same angles → same matrices),
-//! so the saved prefix state is the state a from-scratch run would reach;
-//! unaffected suffix gates reuse the base-bound gates (their angles are
-//! untouched by the shift); affected gates are re-bound through the same
-//! [`transpile::circuit::Op::bind`] the full bind would use. The
-//! `pure_probes_match_full_reruns` tests pin this, and the golden
-//! z-score fixture pins the trained result end to end.
+//! so the saved prefix state is the state a from-scratch run would reach
+//! (up to the sign of zeros, which the Z scores square away; see
+//! `quasim::statevector`); unaffected suffix gates reuse the base-bound
+//! gates (their angles are untouched by the shift); affected gates are
+//! re-bound through the same [`transpile::circuit::Op::bind`] the full
+//! bind would use. The `pure_probes_match_full_reruns` tests pin this,
+//! and the golden z-score fixture pins the trained result end to end.
 //!
 //! Cost per sample drops from `(1 + 2·P)` full runs to one bind, one full
-//! run and `2·P` suffix replays (half the circuit on average). A replay
-//! copies the prefix into a reused state vector and applies the prebound
-//! entries on the stack: no trig and no heap allocation, except for the
-//! gates the shift affects, whose entries are re-derived. The buffers (two
-//! state vectors and the bound entries) are reused across every sample a
-//! worker sweeps.
+//! run and `2·P` suffix replays (half the circuit on average).
+//!
+//! # Lane groups
+//!
+//! A sweep runs up to four samples of the minibatch at once, as the SIMD
+//! lanes of a [`StatePanel`] (`quasim::statevector`'s lane kernels). The
+//! samples differ only in their features, so only the encoder gates
+//! carry per-lane entries; every weight gate, the re-bound ±h gate
+//! included, is bound once and shared by the whole group. One sweep of a
+//! `B`-lane group costs one bind of the weight gates, `B` binds of the
+//! encoder gates, one prefix walk and `2·P` suffix replays over `B`
+//! lanes, plus `B` losses per probe. With AVX2 a 4-lane gate is one
+//! vector operation per amplitude term, so a 4-lane replay costs about
+//! what a one-sample replay does and a group of four about what one
+//! sample used to. The gate kernels are classified once per
+//! bind ([`quasim::statevector::GateClass`]): diagonal rotations and the
+//! controlled rotations of the VQC block skip their exactly-zero terms.
+//! A replay copies the prefix panel into a reused one and applies the
+//! bound suffix slice in one kernel dispatch: no trig and no heap
+//! allocation, except for the gates the shift affects, which are
+//! re-bound. The buffers (two panels and the bound gates) are reused
+//! across every group a worker sweeps.
+//!
+//! Lanes change no bits: each lane's Z scores are bitwise those of a
+//! width-1 run (see the `quasim::statevector` module docs).
 //!
 //! [`pure_fd_gradient`] turns the sweeps of a minibatch into its loss and
-//! gradient, spreading the samples over the worker threads.
+//! gradient, packing the samples into 4-, 2- and 1-lane groups and
+//! spreading the groups over the worker threads.
 
 use crate::data::Sample;
 use crate::executor::parallel::map_chunks;
 use crate::loss::cross_entropy;
 use crate::model::VqcModel;
-use quasim::gate::GateEntries;
-use quasim::statevector::StateVector;
+use quasim::statevector::{LaneGate, StatePanel};
+use std::ops::Range;
 
 /// Which evaluation of a sweep a set of Z scores belongs to; `Plus(k)` /
 /// `Minus(k)` index the requested slots.
@@ -49,7 +70,7 @@ enum Probe {
 }
 
 /// The sample-independent part of a sweep, built once per gradient and
-/// shared by every sample (and worker thread).
+/// shared by every lane group (and worker thread).
 struct SweepPlan<'m> {
     model: &'m VqcModel,
     /// Per requested slot: its parameter index and the ops it feeds.
@@ -57,6 +78,9 @@ struct SweepPlan<'m> {
     /// Request indices sorted by divergence point.
     order: Vec<usize>,
     measured: Vec<usize>,
+    /// Per op: whether its angle is a feature, so each lane binds it
+    /// from its own sample (every other op binds once for the group).
+    per_lane: Vec<bool>,
 }
 
 impl<'m> SweepPlan<'m> {
@@ -69,11 +93,21 @@ impl<'m> SweepPlan<'m> {
                 (param, circuit.ops_for_param(param))
             })
             .collect();
+        let per_lane = circuit
+            .ops()
+            .iter()
+            .map(|op| {
+                op.param
+                    .and_then(|p| p.idx())
+                    .is_some_and(|i| i < model.n_features())
+            })
+            .collect();
         let mut plan = SweepPlan {
             model,
             probes,
             order: Vec::new(),
             measured: model.measured_logical(),
+            per_lane,
         };
         let mut order: Vec<usize> = (0..plan.probes.len()).collect();
         order.sort_by_key(|&k| plan.divergence(k));
@@ -92,46 +126,58 @@ impl<'m> SweepPlan<'m> {
     }
 }
 
-/// One worker's sweep buffers, reused across the samples it sweeps.
-struct Sweeper {
-    zero: StateVector,
-    prefix: StateVector,
-    work: StateVector,
-    entries: Vec<GateEntries>,
-    z: Vec<f64>,
+/// One worker's sweep buffers for `B`-lane groups, reused across the
+/// groups it sweeps.
+struct Sweeper<const B: usize> {
+    prefix: StatePanel<B>,
+    work: StatePanel<B>,
+    gates: Vec<LaneGate<B>>,
+    /// The base gates a replay's re-bound ones displaced.
+    displaced: Vec<(usize, LaneGate<B>)>,
+    /// Per lane, the Z scores of the measured qubits.
+    z: [Vec<f64>; B],
 }
 
-impl Sweeper {
+impl<const B: usize> Sweeper<B> {
     fn new(plan: &SweepPlan<'_>) -> Self {
-        let zero = StateVector::zero_state(plan.model.n_qubits());
+        let panel = StatePanel::zero_state(plan.model.n_qubits());
         Sweeper {
-            prefix: zero.clone(),
-            work: zero.clone(),
-            zero,
-            entries: Vec::with_capacity(plan.model.circuit().len()),
-            z: Vec::with_capacity(plan.measured.len()),
+            work: panel.clone(),
+            prefix: panel,
+            gates: Vec::with_capacity(plan.model.circuit().len()),
+            displaced: Vec::new(),
+            z: std::array::from_fn(|_| Vec::with_capacity(plan.measured.len())),
         }
     }
 
-    /// Sweeps one sample: calls `visit` with the Z scores of every ±h probe
+    /// Sweeps one group of `B` samples (`features[k]` in lane `k`): calls
+    /// `visit(k, probe, z)` with lane `k`'s Z scores of every ±h probe
     /// and, last, of the base evaluation (see the [module docs](self)).
     fn sweep(
         &mut self,
         plan: &SweepPlan<'_>,
-        features: &[f64],
+        features: [&[f64]; B],
         weights: &[f64],
         h: f64,
-        mut visit: impl FnMut(Probe, &[f64]),
+        mut visit: impl FnMut(usize, Probe, &[f64]),
     ) {
-        let full = plan.model.full_params(features, weights);
+        let full = features.map(|f| plan.model.full_params(f, weights));
         let ops = plan.model.circuit().ops();
-        // Bind every gate's entries once; replays only copy them.
-        self.entries.clear();
-        self.entries
-            .extend(ops.iter().map(|op| op.bind(&full).entries()));
-        self.prefix.clone_from(&self.zero);
+        // Bind every gate once per group; replays only read the entries.
+        self.gates.clear();
+        self.gates
+            .extend(ops.iter().zip(&plan.per_lane).map(|(op, &per_lane)| {
+                if per_lane {
+                    LaneGate::new(&op.qubits, &full.each_ref().map(|p| op.bind(p).entries()))
+                } else {
+                    LaneGate::shared(&op.qubits, &op.bind(&full[0]).entries())
+                }
+            }));
+        self.prefix.reset();
         let mut cursor = 0usize;
-        let mut full_shift = full.clone();
+        // The shifted parameter is a weight, equal in every lane, so
+        // lane 0's vector binds the group's shifted gates.
+        let mut full_shift = full[0].clone();
 
         for &k in &plan.order {
             let (param, affected) = &plan.probes[k];
@@ -139,42 +185,119 @@ impl Sweeper {
             // Advance the shared prefix to this probe's divergence point;
             // every earlier probe diverged at or before it, so each gate is
             // applied exactly once across the whole sweep.
-            while cursor < div {
-                self.prefix
-                    .apply_entries(&self.entries[cursor], &ops[cursor].qubits);
-                cursor += 1;
-            }
+            self.prefix.run(&self.gates[cursor..div]);
+            cursor = div;
             for (sign, probe) in [(1.0, Probe::Plus(k)), (-1.0, Probe::Minus(k))] {
-                full_shift[*param] = full[*param] + sign * h;
-                self.work.clone_from(&self.prefix);
-                let mut next_affected = affected.iter().peekable();
-                for (idx, op) in ops.iter().enumerate().skip(div) {
-                    if next_affected.peek() == Some(&&idx) {
-                        next_affected.next();
-                        self.work.apply(&op.bind(&full_shift));
-                    } else {
-                        self.work.apply_entries(&self.entries[idx], &op.qubits);
-                    }
+                full_shift[*param] = full[0][*param] + sign * h;
+                for &idx in affected {
+                    let op = &ops[idx];
+                    let shifted = LaneGate::shared(&op.qubits, &op.bind(&full_shift).entries());
+                    let base = std::mem::replace(&mut self.gates[idx], shifted);
+                    self.displaced.push((idx, base));
                 }
-                self.z.clear();
-                self.z
-                    .extend(plan.measured.iter().map(|&q| self.work.expect_z(q)));
-                visit(probe, &self.z);
+                self.work.copy_from(&self.prefix);
+                self.work.run(&self.gates[div..]);
+                for (idx, base) in self.displaced.drain(..) {
+                    self.gates[idx] = base;
+                }
+                lane_scores(&self.work, &plan.measured, &mut self.z);
+                for (lane, z) in self.z.iter().enumerate() {
+                    visit(lane, probe, z);
+                }
             }
-            full_shift[*param] = full[*param];
+            full_shift[*param] = full[0][*param];
         }
         // Finish the base run: the prefix carried through every gate is the
         // unshifted evaluation itself.
-        while cursor < ops.len() {
-            self.prefix
-                .apply_entries(&self.entries[cursor], &ops[cursor].qubits);
-            cursor += 1;
+        self.prefix.run(&self.gates[cursor..]);
+        lane_scores(&self.prefix, &plan.measured, &mut self.z);
+        for (lane, z) in self.z.iter().enumerate() {
+            visit(lane, Probe::Base, z);
         }
-        self.z.clear();
-        self.z
-            .extend(plan.measured.iter().map(|&q| self.prefix.expect_z(q)));
-        visit(Probe::Base, &self.z);
     }
+}
+
+/// Lane `k`'s Z scores of the `measured` qubits into `out[k]`.
+fn lane_scores<const B: usize>(panel: &StatePanel<B>, measured: &[usize], out: &mut [Vec<f64>; B]) {
+    for lane in out.iter_mut() {
+        lane.clear();
+    }
+    for &q in measured {
+        for (lane, z) in out.iter_mut().zip(panel.expect_z(q)) {
+            lane.push(z);
+        }
+    }
+}
+
+/// The widest lane group a sweep runs.
+const MAX_LANES: usize = 4;
+
+/// Splits `0..n` into lane groups: groups of [`MAX_LANES`], then the
+/// remainder as a 2- and/or a 1-lane group.
+fn lane_groups(n: usize) -> Vec<Range<usize>> {
+    let mut groups = Vec::with_capacity(n / MAX_LANES + 2);
+    let mut start = 0;
+    for width in [MAX_LANES, 2, 1] {
+        while n - start >= width {
+            groups.push(start..start + width);
+            start += width;
+        }
+    }
+    groups
+}
+
+/// Per sample: (base loss, +h losses, −h losses), one per requested slot.
+type SampleLosses = (f64, Vec<f64>, Vec<f64>);
+
+/// One worker's sweepers, one per lane width, built on first use.
+#[derive(Default)]
+struct Sweepers {
+    four: Option<Sweeper<4>>,
+    two: Option<Sweeper<2>>,
+    one: Option<Sweeper<1>>,
+}
+
+impl Sweepers {
+    /// The losses of every sample in `group`, in order.
+    fn losses(
+        &mut self,
+        plan: &SweepPlan<'_>,
+        group: &[&Sample],
+        weights: &[f64],
+        h: f64,
+    ) -> Vec<SampleLosses> {
+        match group.len() {
+            4 => group_losses(&mut self.four, plan, group, weights, h),
+            2 => group_losses(&mut self.two, plan, group, weights, h),
+            1 => group_losses(&mut self.one, plan, group, weights, h),
+            width => unreachable!("no {width}-lane groups"),
+        }
+    }
+}
+
+/// Sweeps one `B`-sample group and returns its per-sample losses.
+fn group_losses<const B: usize>(
+    sweeper: &mut Option<Sweeper<B>>,
+    plan: &SweepPlan<'_>,
+    group: &[&Sample],
+    weights: &[f64],
+    h: f64,
+) -> Vec<SampleLosses> {
+    let group: &[&Sample; B] = group.try_into().expect("one sample per lane");
+    let n = plan.probes.len();
+    let mut out: [SampleLosses; B] = std::array::from_fn(|_| (0.0, vec![0.0; n], vec![0.0; n]));
+    let sweeper = sweeper.get_or_insert_with(|| Sweeper::new(plan));
+    let features = group.map(|s| &s.features[..]);
+    sweeper.sweep(plan, features, weights, h, |k, probe, z| {
+        let loss = cross_entropy(z, group[k].label);
+        let (base, plus, minus) = &mut out[k];
+        match probe {
+            Probe::Plus(t) => plus[t] = loss,
+            Probe::Minus(t) => minus[t] = loss,
+            Probe::Base => *base = loss,
+        }
+    });
+    out.into()
 }
 
 /// Mean cross-entropy of `batch` and its central finite-difference
@@ -182,12 +305,14 @@ impl Sweeper {
 /// noise-free environment — the pure gradient of both
 /// [`crate::train::train_masked`] and the ADMM θ-update.
 ///
-/// One prefix-sharing sweep per sample replaces `1 + 2·|slots|` full
-/// state-vector runs. Samples are independent, so their sweeps fan out
-/// over `threads` workers ([`map_chunks`], one set of sweep buffers per
-/// worker); the per-sample losses are then summed in batch order, so the
-/// result is bit-identical for every `threads` and to the one-evaluation-
-/// at-a-time loop: gradient `i` is `(Σ⁺/b − Σ⁻/b) / 2h`.
+/// One prefix-sharing sweep per lane group of up to four samples
+/// replaces `1 + 2·|slots|` full state-vector runs per sample. Groups
+/// are independent, so their sweeps fan out over `threads` workers
+/// ([`map_chunks`] over the groups, so chunks split on lane-group
+/// boundaries; one set of sweep buffers per worker); the per-sample
+/// losses are then summed in batch order, so the result is bit-identical
+/// for every `threads` and to the one-evaluation-at-a-time loop:
+/// gradient `i` is `(Σ⁺/b − Σ⁻/b) / 2h`.
 ///
 /// # Panics
 ///
@@ -204,32 +329,17 @@ pub fn pure_fd_gradient(
     assert!(!batch.is_empty(), "empty batch");
     assert!(h.is_finite(), "shift must be finite");
     let plan = SweepPlan::new(model, slots);
-    // Per sample: (base loss, +h losses, −h losses).
-    let losses: Vec<(f64, Vec<f64>, Vec<f64>)> =
-        map_chunks(&(), batch.len(), threads, |_, range| {
-            let mut sweeper = Sweeper::new(&plan);
-            range
-                .map(|i| {
-                    let s = batch[i];
-                    let mut base = 0.0;
-                    let mut plus = vec![0.0; slots.len()];
-                    let mut minus = vec![0.0; slots.len()];
-                    sweeper.sweep(&plan, &s.features, weights, h, |probe, z| {
-                        let loss = cross_entropy(z, s.label);
-                        match probe {
-                            Probe::Plus(k) => plus[k] = loss,
-                            Probe::Minus(k) => minus[k] = loss,
-                            Probe::Base => base = loss,
-                        }
-                    });
-                    (base, plus, minus)
-                })
-                .collect()
-        });
+    let groups = lane_groups(batch.len());
+    let losses: Vec<Vec<SampleLosses>> = map_chunks(&(), groups.len(), threads, |_, range| {
+        let mut sweepers = Sweepers::default();
+        range
+            .map(|g| sweepers.losses(&plan, &batch[groups[g].clone()], weights, h))
+            .collect()
+    });
     let mut base_sum = 0.0;
     let mut fp_sum = vec![0.0; slots.len()];
     let mut fm_sum = vec![0.0; slots.len()];
-    for (base, plus, minus) in &losses {
+    for (base, plus, minus) in losses.iter().flatten() {
         base_sum += base;
         for t in 0..slots.len() {
             fp_sum[t] += plus[t];
@@ -273,7 +383,7 @@ mod tests {
             .map(|&slot| (slot, Vec::new(), Vec::new()))
             .collect();
         let mut base = Vec::new();
-        Sweeper::new(&plan).sweep(&plan, features, weights, h, |probe, z| match probe {
+        Sweeper::<1>::new(&plan).sweep(&plan, [features], weights, h, |_, probe, z| match probe {
             Probe::Plus(k) => shifted[k].1 = z.to_vec(),
             Probe::Minus(k) => shifted[k].2 = z.to_vec(),
             Probe::Base => base = z.to_vec(),
@@ -311,34 +421,45 @@ mod tests {
             assert_bits_eq(zm, &pure_z_scores(&model, &features, &w), "minus");
         }
 
-        // The minibatch gradient, with the samples' sweeps spread over any
-        // number of workers, equals the one-evaluation-at-a-time loop.
-        let samples: Vec<Sample> = (0..6)
+        // The minibatch gradient, with the samples packed into 4-, 2- and
+        // 1-lane groups and the groups spread over any number of workers,
+        // equals the one-evaluation-at-a-time loop: batch sizes 1-9 cover
+        // every remainder of the packing, the thread counts every split.
+        let samples: Vec<Sample> = (0..9)
             .map(|k| Sample {
                 features: features.iter().map(|f| f + 0.3 * k as f64).collect(),
                 label: k % 4,
             })
             .collect();
-        let batch: Vec<&Sample> = samples.iter().collect();
-        let b = batch.len() as f64;
-        let batch_loss = |w: &[f64]| -> f64 {
-            batch
-                .iter()
-                .map(|s| cross_entropy(&pure_z_scores(&model, &s.features, w), s.label))
-                .sum::<f64>()
-                / b
-        };
-        let mut want = vec![0.0; weights.len()];
-        for &i in &slots {
-            let (mut wp, mut wm) = (weights.clone(), weights.clone());
-            wp[i] += h;
-            wm[i] -= h;
-            want[i] = (batch_loss(&wp) - batch_loss(&wm)) / (2.0 * h);
-        }
-        for threads in [1, 4, 16] {
-            let (loss, grad) = pure_fd_gradient(&model, &batch, &weights, h, &slots, threads);
-            assert_bits_eq(&[loss], &[batch_loss(&weights)], "batch loss");
-            assert_bits_eq(&grad, &want, &format!("gradient at threads={threads}"));
+        for n in 1..=samples.len() {
+            let widths: Vec<usize> = lane_groups(n).iter().map(Range::len).collect();
+            assert_eq!(widths.iter().sum::<usize>(), n, "groups cover the batch");
+            assert!(
+                widths.windows(2).all(|w| w[0] > w[1] || w[0] == 4),
+                "{widths:?}"
+            );
+            let batch: Vec<&Sample> = samples[..n].iter().collect();
+            let b = batch.len() as f64;
+            let batch_loss = |w: &[f64]| -> f64 {
+                batch
+                    .iter()
+                    .map(|s| cross_entropy(&pure_z_scores(&model, &s.features, w), s.label))
+                    .sum::<f64>()
+                    / b
+            };
+            let mut want = vec![0.0; weights.len()];
+            for &i in &slots {
+                let (mut wp, mut wm) = (weights.clone(), weights.clone());
+                wp[i] += h;
+                wm[i] -= h;
+                want[i] = (batch_loss(&wp) - batch_loss(&wm)) / (2.0 * h);
+            }
+            for threads in [1, 2, 3, 4, 16] {
+                let what = format!("batch of {n} at threads={threads}");
+                let (loss, grad) = pure_fd_gradient(&model, &batch, &weights, h, &slots, threads);
+                assert_bits_eq(&[loss], &[batch_loss(&weights)], &format!("loss, {what}"));
+                assert_bits_eq(&grad, &want, &format!("gradient, {what}"));
+            }
         }
     }
 
