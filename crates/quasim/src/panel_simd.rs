@@ -26,7 +26,7 @@
 
 use crate::fused::MatClass;
 use crate::math::{M2, M4};
-use crate::trajectory::{unitary1_inner, unitary2_inner, Octet, Quartet};
+use crate::trajectory::{unitary1_inner, unitary2_inner, Quartet, Window};
 use core::arch::x86_64::{
     __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
     _mm256_storeu_pd, _mm256_sub_pd,
@@ -225,67 +225,16 @@ fn general_lanes(
     lanes
 }
 
-/// AVX2 transcription of [`unitary1_inner`]: applies one 2×2 unitary to a
-/// planar pair tile, bit-identical to the scalar kernel at every element.
+/// AVX2 transcription of [`unitary1_inner`] over a whole window: applies
+/// one 2×2 unitary to every span of the window's pair plan for the wire at
+/// strip mask `wm`, broadcasting the matrix entries once for the window
+/// instead of once per span. Each span's full 4-lane chunks go through the
+/// lane bodies and its remainder through the scalar kernel, so every
+/// element is bit-identical to [`unitary1_inner`] on that span — the
+/// window form only amortises the call and broadcast overhead, which
+/// dominates when low-wire supergroups make the spans short.
 #[target_feature(enable = "avx2")]
-pub(crate) fn unitary1_avx2(
-    m: &M2,
-    class: MatClass,
-    r0: &mut [f64],
-    i0: &mut [f64],
-    r1: &mut [f64],
-    i1: &mut [f64],
-) {
-    let len = r0.len();
-    let (i0, r1, i1) = (&mut i0[..len], &mut r1[..len], &mut i1[..len]);
-    let lanes = match class {
-        MatClass::Diagonal => {
-            let (d0, d1) = (m[0], m[3]);
-            diag_lanes(
-                _mm256_set1_pd(d0.re),
-                _mm256_set1_pd(d0.im),
-                _mm256_set1_pd(d1.re),
-                _mm256_set1_pd(d1.im),
-                r0,
-                i0,
-                r1,
-                i1,
-            )
-        }
-        MatClass::Real => real_lanes(
-            _mm256_set1_pd(m[0].re),
-            _mm256_set1_pd(m[1].re),
-            _mm256_set1_pd(m[2].re),
-            _mm256_set1_pd(m[3].re),
-            r0,
-            i0,
-            r1,
-            i1,
-        ),
-        MatClass::General => general_lanes(&broadcast_m2(m), r0, i0, r1, i1),
-    };
-    if lanes < len {
-        unitary1_inner(
-            m,
-            class,
-            &mut r0[lanes..],
-            &mut i0[lanes..],
-            &mut r1[lanes..],
-            &mut i1[lanes..],
-        );
-    }
-}
-
-/// Octet-level counterpart of [`unitary1_avx2`]: applies one 2×2 unitary
-/// to every span of the window's pair plan for the wire at strip mask
-/// `wm`, broadcasting the matrix entries once for the whole window instead
-/// of once per span. Each span goes through the exact same lane bodies
-/// (and scalar tails) as the pair kernel, so the results are bit-identical
-/// to one pair call per span — this only amortises the call and broadcast
-/// overhead, which dominates when low-wire supergroups make the spans
-/// short.
-#[target_feature(enable = "avx2")]
-pub(crate) fn unitary1_octet_avx2(m: &M2, class: MatClass, o: &mut Octet<'_>, wm: usize) {
+pub(crate) fn unitary1_window_avx2(m: &M2, class: MatClass, o: &mut Window<'_>, wm: usize) {
     let spans = o.plan_pairs(wm);
     let tail = |lanes: usize, r0: &mut [f64], i0: &mut [f64], r1: &mut [f64], i1: &mut [f64]| {
         if lanes < r0.len() {
@@ -399,9 +348,10 @@ pub(crate) fn unitary2_avx2(m: &M4, swapped: bool, g: &mut Quartet<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::classify2;
     use crate::gate::GateKind;
     use crate::math::Complex64;
-    use crate::trajectory::KernelMode;
+    use crate::trajectory::{KernelMode, SpanPlans};
 
     /// Deterministic pseudo-amplitudes (no RNG needed for a pure kernel
     /// identity check).
@@ -424,26 +374,56 @@ mod tests {
         }
         let h = GateKind::H.entries_1q(0.0).unwrap();
         let rz = GateKind::Rz.entries_1q(0.7).unwrap();
-        for (m, class) in [(&h, MatClass::Real), (&rz, MatClass::Diagonal)] {
+        let rx = GateKind::Rx.entries_1q(-1.3).unwrap();
+        // 1-, 2- and 3-wire windows of two sub-blocks each, every wire of
+        // each: spans that do and do not coalesce across sub-blocks, with
+        // strip lengths that leave every possible 4-lane remainder.
+        for k in 1..=3usize {
+            let strips = 1usize << k;
             for len in [1usize, 3, 4, 7, 8, 13, 64, 65] {
-                let base: Vec<Vec<f64>> = (0..4).map(|k| fill(41 + k, len)).collect();
-                let mut scalar: Vec<Vec<f64>> = base.clone();
-                let mut simd: Vec<Vec<f64>> = base;
-                {
-                    let [r0, i0, r1, i1] = &mut scalar[..] else {
-                        unreachable!()
-                    };
-                    unitary1_inner(m, class, r0, i0, r1, i1);
-                }
-                {
-                    let [r0, i0, r1, i1] = &mut simd[..] else {
-                        unreachable!()
-                    };
-                    // SAFETY: guarded by `avx2_supported` above.
-                    unsafe { unitary1_avx2(m, class, r0, i0, r1, i1) };
-                }
-                for (a, b) in scalar.iter().flatten().zip(simd.iter().flatten()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "len {len}");
+                let strides: Vec<usize> = (0..k).map(|i| len << (k - 1 - i)).collect();
+                let bases = [0, strips * len];
+                for m in [&h, &rz, &rx] {
+                    let class = classify2(m);
+                    for wb in 0..k {
+                        let base: Vec<Vec<f64>> =
+                            (0..2).map(|p| fill(41 + p, 2 * strips * len)).collect();
+                        let mut scalar = base.clone();
+                        let mut simd = base;
+                        let mut plans = SpanPlans::default();
+                        {
+                            let [re, im] = &mut scalar[..] else {
+                                unreachable!()
+                            };
+                            let mut o =
+                                // SAFETY: the strips tile both planes
+                                // without overlap (strip `x` of sub-block
+                                // `t` is the run at `(t · strips + x) · len`).
+                                unsafe { Window::new(re, im, &strides, &bases, len, &mut plans) };
+                            for i in 0..o.plan_pairs(1 << wb) {
+                                let (r0, i0, r1, i1) = o.pair(i);
+                                unitary1_inner(m, class, r0, i0, r1, i1);
+                            }
+                        }
+                        {
+                            let [re, im] = &mut simd[..] else {
+                                unreachable!()
+                            };
+                            // SAFETY: as above; the kernel call is guarded
+                            // by `avx2_supported`.
+                            unsafe {
+                                let mut o = Window::new(re, im, &strides, &bases, len, &mut plans);
+                                unitary1_window_avx2(m, class, &mut o, 1 << wb);
+                            }
+                        }
+                        for (a, b) in scalar.iter().flatten().zip(simd.iter().flatten()) {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{k}-wire window, wire bit {wb}, len {len}, {class:?}"
+                            );
+                        }
+                    }
                 }
             }
         }

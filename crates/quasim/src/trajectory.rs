@@ -50,18 +50,19 @@
 //! # Tiling
 //!
 //! The panel runs one tiled pass per supergroup (a run of fused segments
-//! on at most three wires): the pass walks the panel in cache-sized tiles
-//! of the group's 2, 4 or 8 strips, and the group's whole atom chain runs
-//! over each tile before the next is loaded. A wire `q` has stride
-//! `2^q · B` elements, so on low wires the natural strips are shorter than
-//! a tile; pair and quartet passes then run each atom over a window of
-//! whole blocks, and octet passes gather `tile / s0` consecutive
-//! sub-octets (`s0` the lowest stride) into one window **by reference**:
-//! the chain is dispatched once per window, and each atom's kernel walks
-//! a span plan in which runs that are adjacent in memory with the same
-//! partner offset are coalesced into one kernel call. CNOTs swap strip
-//! references rather than data, and the net permutation is written back
-//! once per tile or window. None of this reorders any element's
+//! on `k ≤ 3` wires), and one engine serves every `k`: the pass walks the
+//! panel in cache-sized windows of the group's `2^k` strips, and the
+//! group's whole atom chain runs over each window before the next is
+//! loaded. A wire `q` has stride `2^q · B` elements; the walk finds the
+//! strips' sub-block starts by inserting a zero digit at each of the
+//! group's sorted strides, as [`insert_zero_bit`] does with bit masks. On
+//! low wires the strips are shorter than a tile, so a window gathers
+//! `tile / s0` consecutive sub-blocks (`s0` the lowest stride) **by
+//! reference**: the chain is dispatched once per window, and each atom's
+//! kernel walks a span plan in which runs that are adjacent in memory
+//! with the same partner offset are coalesced into one kernel call. CNOTs
+//! swap strip references rather than data, and the net permutation is
+//! written back once per window. None of this reorders any element's
 //! arithmetic, so every width and tiling gives the same bits.
 //!
 //! # Determinism
@@ -564,7 +565,7 @@ fn panel_width_from_value(value: Option<&str>, n_qubits: usize, n_trajectories: 
     width.min((n_trajectories.max(1)) as usize)
 }
 
-/// Which implementation the panel's pair/quartet/octet unitary kernels
+/// Which implementation the panel's one- and two-qubit unitary kernels
 /// dispatch to. Both arms compute the identical IEEE-754 result for every
 /// element: the AVX2 kernels (see `panel_simd`) use only 4-lane multiply,
 /// add, and subtract — never FMA — in the exact association order of the
@@ -621,16 +622,16 @@ impl KernelMode {
 
 /// Union-support cap of a panel supergroup: consecutive fused segments are
 /// grouped for single-pass execution only while their combined support
-/// stays within this many qubits (the tiled kernels walk pair, quartet, or
-/// octet strips, nothing wider).
+/// stays within this many qubits (a pass walks windows of at most
+/// `2^SUPERGROUP_CAP` strips).
 pub const SUPERGROUP_CAP: usize = 3;
 
 /// One panel supergroup: a maximal run of consecutive fused segments whose
 /// union support fits within [`SUPERGROUP_CAP`] qubits. `u` is the first
 /// support qubit seen (the group's wire `A`), `v` the second if any, `w`
 /// the third — a whole entangling layer plus its noise interleave and the
-/// neighbouring single-qubit decomposition segments becomes one octet
-/// pass.
+/// neighbouring single-qubit decomposition segments becomes one pass over
+/// windows of eight strips.
 ///
 /// The plan is a pure function of the program's segment list; it is what
 /// [`TrajectoryPanel::run_stochastic`] executes one tiled panel pass per
@@ -729,10 +730,9 @@ pub fn supergroup_plan(program: &FusedProgram) -> Vec<Supergroup> {
     supergroups(program).collect()
 }
 
-/// Complex amplitudes per tile row of the segment-fused panel sweeps:
-/// small enough that a one-qubit tile (2 amplitude rows × 2 planes) or a
-/// two-qubit tile (4 rows × 2 planes) stays L1-resident while a whole
-/// segment's atom chain runs over it.
+/// Elements per plane of one window strip: small enough that a window's
+/// `2^k` strips of both planes (at most 64 KiB) stay cache-resident while
+/// a whole supergroup's atom chain runs over them.
 const TILE_ELEMS: usize = 512;
 
 /// One Pauli application to a planar amplitude pair `((re, im), (re, im))`,
@@ -750,14 +750,43 @@ fn pauli_vals(p: usize, x0: (f64, f64), x1: (f64, f64)) -> ((f64, f64), (f64, f6
     }
 }
 
-/// One precompiled pass of a one-qubit segment chain over a pair tile.
-enum Pass1q<'a> {
-    /// Panel-wide 2×2 unitary.
-    Unitary(&'a M2, MatClass),
-    /// Per-column Pauli jumps (the pre-sampled branch row).
-    Jump(&'a [u8]),
-    /// Stochastic atom whose branch row is all-identity (exact no-op).
+/// One precompiled atom of a supergroup chain over a window of `2^k`
+/// strips. Strip indices are `k`-bit numbers in the group's wire basis:
+/// wire `i` of the group (`u`, `v`, `w` in first-seen order) is strip bit
+/// `k − 1 − i`. Two-qubit atoms carry the strip bits of their own
+/// segment's `(A, B)` wires, so the quartet each one sees is assembled in
+/// the segment's wire order and the atom's `swapped` flag applies
+/// unchanged (exactly as in the per-trajectory engine). Matrices and
+/// branch rows are named by index — into the program's matrix tables and
+/// the panel's branch rows — so the pass list lives on the panel and is
+/// rebuilt without allocating.
+#[derive(Debug, Clone, Copy)]
+enum Pass {
+    /// 2×2 unitary (`m2` table index) on the wire at the given strip bit.
+    Unitary1(u32, MatClass, usize),
+    /// Per-column one-qubit Pauli jumps (branch row start) on the wire at
+    /// the given strip bit.
+    Jump1(usize, usize),
+    /// CNOT: swap the target-bit strip pair inside every control-set half
+    /// (`(control bit, target bit)`).
+    Swap(usize, usize),
+    /// 4×4 unitary (`m4` table index) on the wires at strip bits `(a, b)`
+    /// of the atom's segment; the `bool` is the atom's own orientation
+    /// flag.
+    Unitary2(u32, bool, usize, usize),
+    /// Per-column Pauli⊗Pauli jumps (branch row start) on the wires at
+    /// strip bits `(a, b)`.
+    Jump2(usize, bool, usize, usize),
+    /// Stochastic atom with an all-identity branch row (exact no-op).
     Skip,
+}
+
+/// One supergroup's compiled chain: the passes and the tables they index.
+struct Chain<'a> {
+    passes: &'a [Pass],
+    program: &'a FusedProgram,
+    /// Pre-sampled jump branches, one row of `b` codes per jumping atom.
+    rows: &'a [u8],
 }
 
 /// Applies one 2×2 unitary to a planar pair tile (`r0/i0` = lower pair
@@ -818,31 +847,9 @@ pub(crate) fn unitary1_inner(
     }
 }
 
-/// Applies one row of per-column Pauli jumps to a planar pair tile (same
-/// formulas as [`pauli_on`] via [`pauli_vals`]).
-#[inline(always)]
-fn jump1_inner(
-    row: &[u8],
-    b: usize,
-    r0: &mut [f64],
-    i0: &mut [f64],
-    r1: &mut [f64],
-    i1: &mut [f64],
-) {
-    let len = r0.len();
-    let (i0, r1, i1) = (&mut i0[..len], &mut r1[..len], &mut i1[..len]);
-    // Walk jumping columns only; with calibration-scale λ most atoms jump
-    // in no or few columns per chunk.
-    for (c, &code) in row.iter().enumerate() {
-        if code != 0 {
-            jump1_column(code as usize, c, b, r0, i0, r1, i1);
-        }
-    }
-}
-
-/// Applies Pauli `p` to column `c` of a planar pair tile: element `j`
-/// belongs to column `j % b`, so a column's amplitudes sit at stride `b`
-/// from `c`.
+/// Applies Pauli `p` to column `c` of a planar pair tile (same formulas as
+/// [`pauli_on`] via [`pauli_vals`]): element `j` belongs to column
+/// `j % b`, so a column's amplitudes sit at stride `b` from `c`.
 #[inline(always)]
 fn jump1_column(
     p: usize,
@@ -864,137 +871,9 @@ fn jump1_column(
     }
 }
 
-/// Applies a one-qubit atom chain to one planar pair tile.
-#[inline(always)]
-fn chain_1q_tile(
-    kernel: KernelMode,
-    passes: &[Pass1q],
-    r0: &mut [f64],
-    i0: &mut [f64],
-    r1: &mut [f64],
-    i1: &mut [f64],
-    b: usize,
-) {
-    for pass in passes {
-        match *pass {
-            Pass1q::Unitary(m, class) => apply_unitary1(kernel, m, class, r0, i0, r1, i1),
-            Pass1q::Jump(row) => jump1_inner(row, b, r0, i0, r1, i1),
-            Pass1q::Skip => {}
-        }
-    }
-}
-
-/// Executes a one-qubit pass chain over the whole panel in a **single
-/// tiled pass**: each cache-sized pair tile is loaded once, the full
-/// chain runs over it, and it is stored back — one panel memory pass per
-/// chain (a whole supergroup of fused segments) instead of one per atom,
-/// with contiguous inner loops (pair rows for qubit `q` are `2^q · b`
-/// element runs, no per-pair bit-twiddling).
-fn run_pair_pass(
-    kernel: KernelMode,
-    re: &mut [f64],
-    im: &mut [f64],
-    b: usize,
-    q: usize,
-    passes: &[Pass1q],
-) {
-    let pair = (1usize << q) * b;
-    let total = re.len();
-    debug_assert_eq!(total, im.len(), "re/im planes differ in length");
-    debug_assert!(
-        b > 0 && total.is_multiple_of(2 * pair),
-        "pair stride for qubit {q} does not tile the {total}-element panel \
-         (qubit out of range or corrupt panel shape)"
-    );
-    let tile = b * (TILE_ELEMS / b).max(1);
-    if pair >= tile {
-        // Wide pair runs: tile within each pair region, whole chain per
-        // tile.
-        let mut base = 0usize;
-        while base < total {
-            let mut ts = base;
-            while ts < base + pair {
-                let len = tile.min(base + pair - ts);
-                let (rl, rh) = re.split_at_mut(ts + pair);
-                let (il, ih) = im.split_at_mut(ts + pair);
-                chain_1q_tile(
-                    kernel,
-                    passes,
-                    &mut rl[ts..ts + len],
-                    &mut il[ts..ts + len],
-                    &mut rh[..len],
-                    &mut ih[..len],
-                    b,
-                );
-                ts += len;
-            }
-            base += 2 * pair;
-        }
-    } else {
-        // Narrow pair runs (low qubits): fuse at window granularity —
-        // each cache-sized window of whole 2·pair blocks hosts the chain,
-        // one pass dispatch per window.
-        let window = (2 * pair) * ((2 * TILE_ELEMS) / (2 * pair)).max(1);
-        let mut start = 0usize;
-        while start < total {
-            let wlen = window.min(total - start);
-            let rw = &mut re[start..start + wlen];
-            let iw = &mut im[start..start + wlen];
-            for pass in passes {
-                match *pass {
-                    Pass1q::Unitary(m, class) => {
-                        for (rb, ib) in rw
-                            .chunks_exact_mut(2 * pair)
-                            .zip(iw.chunks_exact_mut(2 * pair))
-                        {
-                            let (r0, r1) = rb.split_at_mut(pair);
-                            let (i0, i1) = ib.split_at_mut(pair);
-                            apply_unitary1(kernel, m, class, r0, i0, r1, i1);
-                        }
-                    }
-                    Pass1q::Jump(row) => {
-                        for (rb, ib) in rw
-                            .chunks_exact_mut(2 * pair)
-                            .zip(iw.chunks_exact_mut(2 * pair))
-                        {
-                            let (r0, r1) = rb.split_at_mut(pair);
-                            let (i0, i1) = ib.split_at_mut(pair);
-                            jump1_inner(row, b, r0, i0, r1, i1);
-                        }
-                    }
-                    Pass1q::Skip => {}
-                }
-            }
-            start += wlen;
-        }
-    }
-}
-
-/// One precompiled pass of a two-qubit segment chain over a quartet tile
-/// (quartet order `[00, 01, 10, 11]` in the segment's `(A, B)` wire basis
-/// with wire `A` the most significant bit).
-enum Pass2q<'a> {
-    /// CNOT with control on wire A: swap the `10` and `11` strips.
-    SwapA,
-    /// CNOT with control on wire B: swap the `01` and `11` strips.
-    SwapB,
-    /// 4×4 unitary; `swapped` atoms read/write the quartet through the
-    /// `[0, 2, 1, 3]` orientation permutation (as in `quasim::fused`).
-    Unitary(&'a M4, bool),
-    /// Per-column Pauli⊗Pauli jumps: branch row plus whether the atom's
-    /// `(first, second)` qubit order is `(B, A)`.
-    Jump(&'a [u8], bool),
-    /// 2×2 unitary on one wire of the quartet (`on_b` selects wire B) —
-    /// how supergroups execute single-qubit segments whose qubit is part
-    /// of the group's two-qubit support without an extra panel pass.
-    Unitary1(&'a M2, MatClass, bool),
-    /// Per-column one-qubit Pauli jumps on one wire of the quartet.
-    Jump1(&'a [u8], bool),
-    /// Stochastic atom with an all-identity branch row.
-    Skip,
-}
-
-/// Planar quartet tile: the four strips of both planes, in quartet order.
+/// Planar quartet tile: the four strips of both planes, in quartet order
+/// (`[00, 01, 10, 11]` in the atom's segment `(A, B)` wire basis, wire
+/// `A` the most significant bit).
 pub(crate) struct Quartet<'a> {
     pub(crate) r: [&'a mut [f64]; 4],
     pub(crate) i: [&'a mut [f64]; 4],
@@ -1003,7 +882,8 @@ pub(crate) struct Quartet<'a> {
 /// Applies one 4×4 unitary to a quartet tile, reading the quartet in the
 /// atom's own orientation order — expression-for-expression [`m4_on`]
 /// (accumulator starts at zero, `acc += m[r·4+c] · old[c]` in column
-/// order).
+/// order); `swapped` atoms read/write the quartet through the
+/// `[0, 2, 1, 3]` orientation permutation (as in `quasim::fused`).
 #[inline(always)]
 pub(crate) fn unitary2_inner(m: &M4, swapped: bool, g: &mut Quartet<'_>) {
     let len = g.r[0].len();
@@ -1029,34 +909,6 @@ pub(crate) fn unitary2_inner(m: &M4, swapped: bool, g: &mut Quartet<'_>) {
     }
 }
 
-/// Dispatches one 2×2 unitary pair application to the selected kernel
-/// (both arms are bit-identical; see [`KernelMode`]).
-#[inline(always)]
-fn apply_unitary1(
-    kernel: KernelMode,
-    m: &M2,
-    class: MatClass,
-    r0: &mut [f64],
-    i0: &mut [f64],
-    r1: &mut [f64],
-    i1: &mut [f64],
-) {
-    match kernel {
-        KernelMode::Scalar => unitary1_inner(m, class, r0, i0, r1, i1),
-        KernelMode::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2` is only constructed after `avx2_supported()`
-            // returned true (`detect` / `set_kernel_mode`), so the avx2
-            // target feature is available on this CPU.
-            unsafe {
-                crate::panel_simd::unitary1_avx2(m, class, r0, i0, r1, i1);
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("KernelMode::Avx2 cannot be constructed off x86_64");
-        }
-    }
-}
-
 /// Dispatches one 4×4 unitary quartet application to the selected kernel
 /// (both arms are bit-identical; see [`KernelMode`]).
 #[inline(always)]
@@ -1073,17 +925,6 @@ fn apply_unitary2(kernel: KernelMode, m: &M4, swapped: bool, g: &mut Quartet<'_>
             }
             #[cfg(not(target_arch = "x86_64"))]
             unreachable!("KernelMode::Avx2 cannot be constructed off x86_64");
-        }
-    }
-}
-
-/// Applies one row of per-column Pauli⊗Pauli jumps to a quartet tile (see
-/// [`jump2_column`]), walking the jumping columns only.
-#[inline(always)]
-fn jump2_inner(row: &[u8], b: usize, swapped: bool, g: &mut Quartet<'_>) {
-    for (c, &code) in row.iter().enumerate() {
-        if code != 0 {
-            jump2_column(code as usize, c, b, swapped, g);
         }
     }
 }
@@ -1129,254 +970,6 @@ fn jump2_column(k: usize, c: usize, b: usize, swapped: bool, g: &mut Quartet<'_>
     }
 }
 
-/// Restores the physical strip layout after a chain ran with
-/// reference-permuted CNOTs: strip `q` of `r`/`i` holds tile index `q`'s
-/// amplitudes but currently lives at physical slot `slot[q]`; cycle-walk
-/// the permutation with block swaps until every slot holds its own index
-/// again. An identity permutation — every back-to-back CNOT pair on the
-/// same wires, i.e. every controlled-rotation template — costs zero data
-/// movement.
-#[inline(always)]
-fn materialize_strips<const N: usize>(
-    r: &mut [&mut [f64]; N],
-    i: &mut [&mut [f64]; N],
-    slot: &mut [usize; N],
-) {
-    for q in 0..N {
-        while slot[q] != q {
-            let p = slot
-                .iter()
-                .position(|&s| s == q)
-                .expect("slot table is a permutation");
-            let [rq, rp] = r.get_disjoint_mut([q, p]).expect("distinct strips");
-            rq.swap_with_slice(rp);
-            let [iq, ip] = i.get_disjoint_mut([q, p]).expect("distinct strips");
-            iq.swap_with_slice(ip);
-            r.swap(q, p);
-            i.swap(q, p);
-            slot.swap(q, p);
-        }
-    }
-}
-
-/// Applies a two-qubit atom chain to one quartet tile. CNOTs permute the
-/// strip *references* (amplitudes keep their values, only their labels
-/// move — `O(1)` per tile); the net permutation is materialised into the
-/// physical layout once at the end of the chain by
-/// [`materialize_strips`], so the final panel contents are bit-identical
-/// to eagerly swapped strips.
-#[inline(always)]
-fn chain_2q_tile(kernel: KernelMode, passes: &[Pass2q], g: &mut Quartet<'_>, b: usize) {
-    // `g.r[q]`/`g.i[q]` always hold quartet index `q`'s amplitudes;
-    // `slot[q]` tracks the physical strip they currently occupy.
-    let mut slot = [0usize, 1, 2, 3];
-    for pass in passes {
-        match *pass {
-            Pass2q::SwapA => {
-                g.r.swap(2, 3);
-                g.i.swap(2, 3);
-                slot.swap(2, 3);
-            }
-            Pass2q::SwapB => {
-                g.r.swap(1, 3);
-                g.i.swap(1, 3);
-                slot.swap(1, 3);
-            }
-            Pass2q::Unitary(m, swapped) => apply_unitary2(kernel, m, swapped, g),
-            Pass2q::Jump(row, swapped) => jump2_inner(row, b, swapped, g),
-            Pass2q::Unitary1(m, class, on_b) => {
-                // A 1q op on one wire couples the two wire-axis pairs;
-                // apply the exact pair kernel to each in turn.
-                for (x, y) in wire_axis(on_b) {
-                    let (r0, i0, r1, i1) = quartet_pair(g, x, y);
-                    apply_unitary1(kernel, m, class, r0, i0, r1, i1);
-                }
-            }
-            Pass2q::Jump1(row, on_b) => {
-                for (x, y) in wire_axis(on_b) {
-                    let (r0, i0, r1, i1) = quartet_pair(g, x, y);
-                    jump1_inner(row, b, r0, i0, r1, i1);
-                }
-            }
-            Pass2q::Skip => {}
-        }
-    }
-    materialize_strips(&mut g.r, &mut g.i, &mut slot);
-}
-
-/// Wire-axis pair index sets in quartet order: a one-qubit op on wire A
-/// couples (00,10) and (01,11); on wire B it couples (00,01) and (10,11).
-#[inline(always)]
-fn wire_axis(on_b: bool) -> [(usize, usize); 2] {
-    if on_b {
-        [(0, 1), (2, 3)]
-    } else {
-        [(0, 2), (1, 3)]
-    }
-}
-
-/// Borrows one wire-axis pair (`x < y`) of a quartet as the four planar
-/// slices the pair kernels take.
-#[inline(always)]
-fn quartet_pair<'q>(
-    g: &'q mut Quartet<'_>,
-    x: usize,
-    y: usize,
-) -> (&'q mut [f64], &'q mut [f64], &'q mut [f64], &'q mut [f64]) {
-    let (rl, rh) = g.r.split_at_mut(y);
-    let (il, ih) = g.i.split_at_mut(y);
-    (&mut *rl[x], &mut *il[x], &mut *rh[0], &mut *ih[0])
-}
-
-/// Splits four disjoint equal-length strips out of one plane, given
-/// strictly increasing element starts.
-fn strips4(plane: &mut [f64], starts: [usize; 4], len: usize) -> [&mut [f64]; 4] {
-    debug_assert!(
-        len > 0
-            && starts[0] + len <= starts[1]
-            && starts[1] + len <= starts[2]
-            && starts[2] + len <= starts[3]
-            && starts[3] + len <= plane.len(),
-        "quartet strips at {starts:?} (len {len}) overlap or escape the \
-         {}-element plane",
-        plane.len()
-    );
-    let (p01, p23) = plane.split_at_mut(starts[2]);
-    let (p0, p1) = p01.split_at_mut(starts[1]);
-    let (p2, p3) = p23.split_at_mut(starts[3] - starts[2]);
-    [
-        &mut p0[starts[0]..starts[0] + len],
-        &mut p1[..len],
-        &mut p2[..len],
-        &mut p3[..len],
-    ]
-}
-
-/// Reorders four sorted-offset strips (per plane) into quartet order.
-#[inline(always)]
-fn to_quartet<'a>(
-    sorted_re: [&'a mut [f64]; 4],
-    sorted_im: [&'a mut [f64]; 4],
-    v_is_small: bool,
-) -> Quartet<'a> {
-    let [r0, ra, rb, r3] = sorted_re;
-    let [i0, ia, ib, i3] = sorted_im;
-    if v_is_small {
-        // Strip at the small offset is the v-set (quartet index 1) strip.
-        Quartet {
-            r: [r0, ra, rb, r3],
-            i: [i0, ia, ib, i3],
-        }
-    } else {
-        Quartet {
-            r: [r0, rb, ra, r3],
-            i: [i0, ib, ia, i3],
-        }
-    }
-}
-
-/// Executes a two-qubit pass chain over the whole panel in a single tiled
-/// pass — the two-qubit counterpart of [`run_pair_pass`]: each quartet
-/// tile (four strips in the supergroup's `(A, B)` wire basis) hosts the
-/// whole chain in cache.
-fn run_quartet_pass(
-    kernel: KernelMode,
-    re: &mut [f64],
-    im: &mut [f64],
-    b: usize,
-    u: usize,
-    v: usize,
-    passes: &[Pass2q],
-) {
-    let mu = (1usize << u) * b;
-    let mv = (1usize << v) * b;
-    let (ms, mb) = if mu < mv { (mu, mv) } else { (mv, mu) };
-    let v_is_small = mv < mu;
-    let total = re.len();
-    debug_assert_eq!(total, im.len(), "re/im planes differ in length");
-    debug_assert_ne!(
-        mu, mv,
-        "supergroup wires ({u}, {v}) alias the same panel stride"
-    );
-    debug_assert!(
-        b > 0 && total.is_multiple_of(2 * mb) && mb.is_multiple_of(2 * ms),
-        "wire strides for ({u}, {v}) do not tile the {total}-element panel \
-         (wire out of range or corrupt panel shape)"
-    );
-    let tile = b * (TILE_ELEMS / b).max(1);
-    if ms >= tile {
-        let mut bh = 0usize;
-        while bh < total {
-            let mut bl = bh;
-            while bl < bh + mb {
-                let mut ts = bl;
-                while ts < bl + ms {
-                    let len = tile.min(bl + ms - ts);
-                    let starts = [ts, ts + ms, ts + mb, ts + mb + ms];
-                    let sr = strips4(re, starts, len);
-                    let si = strips4(im, starts, len);
-                    let mut g = to_quartet(sr, si, v_is_small);
-                    chain_2q_tile(kernel, passes, &mut g, b);
-                    ts += len;
-                }
-                bl += 2 * ms;
-            }
-            bh += 2 * mb;
-        }
-    } else {
-        // Narrow small-axis runs: walk each big block's low/high halves in
-        // lockstep; every 2·ms sub-block pair forms one quartet tile.
-        let mut bh = 0usize;
-        while bh < total {
-            let (rl_all, rh_all) = re.split_at_mut(bh + mb);
-            let (il_all, ih_all) = im.split_at_mut(bh + mb);
-            let rl = &mut rl_all[bh..];
-            let il = &mut il_all[bh..];
-            let rh = &mut rh_all[..mb];
-            let ih = &mut ih_all[..mb];
-            for (((rlb, rhb), ilb), ihb) in rl
-                .chunks_exact_mut(2 * ms)
-                .zip(rh.chunks_exact_mut(2 * ms))
-                .zip(il.chunks_exact_mut(2 * ms))
-                .zip(ih.chunks_exact_mut(2 * ms))
-            {
-                let (sr0, sr1) = rlb.split_at_mut(ms);
-                let (sr2, sr3) = rhb.split_at_mut(ms);
-                let (si0, si1) = ilb.split_at_mut(ms);
-                let (si2, si3) = ihb.split_at_mut(ms);
-                let mut g = to_quartet([sr0, sr1, sr2, sr3], [si0, si1, si2, si3], v_is_small);
-                chain_2q_tile(kernel, passes, &mut g, b);
-            }
-            bh += 2 * mb;
-        }
-    }
-}
-
-/// One precompiled pass of a three-qubit supergroup chain over an octet
-/// tile. Strip indices are three-bit numbers in the group's `(A, B, C)`
-/// wire basis — wire `A` (`u`) is strip bit 2, wire `B` (`v`) bit 1, wire
-/// `C` (`w`) bit 0. Two-qubit atoms carry the strip bits of their own
-/// segment's `(A, B)` wires, so the quartet each one sees is assembled in
-/// the segment's wire order and the atom's `swapped` flag applies
-/// unchanged (exactly as in the per-trajectory engine).
-enum Pass3q<'a> {
-    /// 2×2 unitary on the wire at the given strip bit.
-    Unitary1(&'a M2, MatClass, usize),
-    /// Per-column one-qubit Pauli jumps on the wire at the given strip
-    /// bit.
-    Jump1(&'a [u8], usize),
-    /// CNOT: swap the target-bit strip pair inside every control-set
-    /// octant (`(control bit, target bit)`).
-    Swap(usize, usize),
-    /// 4×4 unitary on the wires at strip bits `(a, b)` of the atom's
-    /// segment; the `bool` is the atom's own orientation flag.
-    Unitary2(&'a M4, bool, usize, usize),
-    /// Per-column Pauli⊗Pauli jumps on the wires at strip bits `(a, b)`.
-    Jump2(&'a [u8], bool, usize, usize),
-    /// Stochastic atom with an all-identity branch row.
-    Skip,
-}
-
 /// `N` equal-length runs that one kernel call processes together: the
 /// runs of an atom's strip tuple (pair: first, second; quartet: quartet
 /// order), as element offsets into the planes.
@@ -1387,7 +980,7 @@ struct Span<const N: usize> {
 }
 
 /// Coalesces the runs of `tuples` (strips, given by their current offsets
-/// from a sub-octet base) over every base into maximal spans: a run
+/// from a sub-block base) over every base into maximal spans: a run
 /// extends the previous span when each of its `N` runs starts where the
 /// previous span's run of the same role ends. Within a base the tuples are
 /// visited in increasing first offset; bases are visited in increasing
@@ -1411,59 +1004,74 @@ fn plan_spans<const N: usize>(
     }
 }
 
-/// Planar octet window: the eight strips of both planes, indexed by the
-/// three-bit strip number in the group's `(A, B, C)` wire basis. A window
-/// covers one or more sub-octets of the panel walk: strip `x` is the run
-/// of `len` elements at `base + off[x]` for every `base` in `bases`, so
-/// one chain dispatch serves every sub-octet of the window without
-/// copying them together.
-///
-/// Each atom's kernel runs over a **span plan**: the atom's strip pairs
-/// (or quartets) over all sub-octets, coalesced wherever consecutive runs
-/// are adjacent in both planes with the same partner offset. A one-qubit
-/// atom on a wire above the lowest one, for instance, pairs whole
-/// contiguous blocks of sub-octets, so short low-wire runs cost one long
-/// kernel call instead of one call per run.
-///
-/// Invariant (established by [`Octet::new`], kept by every method): the
-/// `8 · bases.len()` runs are pairwise disjoint, and `off` is a
-/// permutation of `home` (the strips' natural offsets), so distinct
-/// strips always name distinct runs. A plan covers each run of its strips
-/// in exactly one span and one role, so the runs of one span are disjoint
-/// from each other; every span handed to a kernel is checked to lie
-/// inside both planes.
-pub(crate) struct Octet<'a> {
-    re: *mut f64,
-    im: *mut f64,
-    /// Elements per plane.
-    plane: usize,
-    /// Where strip `x`'s amplitudes currently live, relative to a
-    /// sub-octet base (CNOTs permute these references).
-    off: [usize; 8],
-    /// Strip `x`'s natural offset, where [`Octet::materialize`] puts its
-    /// amplitudes back.
-    home: [usize; 8],
-    bases: &'a [usize],
-    len: usize,
-    pairs: &'a mut Vec<Span<2>>,
-    quartets: &'a mut Vec<Span<4>>,
-    _planes: std::marker::PhantomData<&'a mut [f64]>,
-}
+/// Most strips a window holds: `2^k` for the widest supergroup.
+const MAX_STRIPS: usize = 1 << SUPERGROUP_CAP;
 
-/// Reusable span-plan buffers of one [`run_octet_pass`].
-#[derive(Default)]
-struct OctetScratch {
+/// Reusable span-plan buffers of a [`Window`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SpanPlans {
     pairs: Vec<Span<2>>,
     quartets: Vec<Span<4>>,
 }
 
-impl<'a> Octet<'a> {
+/// Reusable buffers of the panel walk — the window's sub-block bases and
+/// its span plans — kept on the [`TrajectoryPanel`] so steady-state passes
+/// allocate nothing.
+#[derive(Debug, Clone, Default)]
+struct WindowScratch {
+    bases: Vec<usize>,
+    plans: SpanPlans,
+}
+
+/// Planar window over the `2^k` strips of a `k`-wire supergroup, indexed
+/// by the `k`-bit strip number in the group's wire basis. A window covers
+/// one or more sub-blocks of the panel walk: strip `x` is the run of `len`
+/// elements at `base + off[x]` for every `base` in `bases`, so one chain
+/// dispatch serves every sub-block of the window without copying them
+/// together.
+///
+/// Each atom's kernel runs over a **span plan**: the atom's strip pairs
+/// (or quartets) over all sub-blocks, coalesced wherever consecutive runs
+/// are adjacent in both planes with the same partner offset. A one-qubit
+/// atom on a wire above the lowest one, for instance, pairs whole
+/// contiguous blocks of sub-blocks, so short low-wire runs cost one long
+/// kernel call instead of one call per run.
+///
+/// Invariant (established by [`Window::new`], kept by every method): the
+/// `2^k · bases.len()` runs are pairwise disjoint, and `off[..2^k]` is a
+/// permutation of `home[..2^k]` (the strips' natural offsets), so distinct
+/// strips always name distinct runs. A plan covers each run of its strips
+/// in exactly one span and one role, so the runs of one span are disjoint
+/// from each other; every span handed to a kernel is checked to lie
+/// inside both planes.
+pub(crate) struct Window<'a> {
+    re: *mut f64,
+    im: *mut f64,
+    /// Elements per plane.
+    plane: usize,
+    /// Strips in the window (`2^k`); entries of `off`/`home` past it are
+    /// unused.
+    strips: usize,
+    /// Where strip `x`'s amplitudes currently live, relative to a
+    /// sub-block base (CNOTs permute these references).
+    off: [usize; MAX_STRIPS],
+    /// Strip `x`'s natural offset, where [`Window::materialize`] puts its
+    /// amplitudes back.
+    home: [usize; MAX_STRIPS],
+    bases: &'a [usize],
+    len: usize,
+    plans: &'a mut SpanPlans,
+    _planes: std::marker::PhantomData<&'a mut [f64]>,
+}
+
+impl<'a> Window<'a> {
     /// Views the runs `base + home[x] .. + len` of both planes as one
-    /// octet window.
+    /// window, where `home[x]` sums the strides of the wires whose strip
+    /// bits `x` sets (`strides[i]` is wire `i`'s, at strip bit `k − 1 − i`).
     ///
     /// # Safety
     ///
-    /// The `8 · bases.len()` runs must be pairwise disjoint (distinct
+    /// The `2^k · bases.len()` runs must be pairwise disjoint (distinct
     /// strips, and distinct bases, never share an element).
     ///
     /// # Panics
@@ -1471,25 +1079,33 @@ impl<'a> Octet<'a> {
     /// Panics if the planes differ in length; a kernel call panics if its
     /// span escapes them.
     // SAFETY: see `# Safety`; the window's spans rely on that contract.
-    unsafe fn new(
+    pub(crate) unsafe fn new(
         re: &'a mut [f64],
         im: &'a mut [f64],
-        home: [usize; 8],
+        strides: &[usize],
         bases: &'a [usize],
         len: usize,
-        scratch: &'a mut OctetScratch,
+        plans: &'a mut SpanPlans,
     ) -> Self {
         assert_eq!(re.len(), im.len(), "re/im planes differ in length");
-        Octet {
+        let k = strides.len();
+        debug_assert!((1..=SUPERGROUP_CAP).contains(&k), "{k}-wire window");
+        let home = std::array::from_fn(|x| {
+            (0..k)
+                .filter(|&i| (x >> (k - 1 - i)) & 1 != 0)
+                .map(|i| strides[i])
+                .sum()
+        });
+        Window {
             plane: re.len(),
             re: re.as_mut_ptr(),
             im: im.as_mut_ptr(),
+            strips: 1 << k,
             off: home,
             home,
             bases,
             len,
-            pairs: &mut scratch.pairs,
-            quartets: &mut scratch.quartets,
+            plans,
             _planes: std::marker::PhantomData,
         }
     }
@@ -1504,7 +1120,7 @@ impl<'a> Octet<'a> {
     #[inline(always)]
     // SAFETY: see `# Safety`; every caller states how it upholds it.
     unsafe fn run(&mut self, at: usize, len: usize) -> (&'a mut [f64], &'a mut [f64]) {
-        assert!(at + len <= self.plane, "octet span escapes the plane");
+        assert!(at + len <= self.plane, "window span escapes the plane");
         // SAFETY: the span is inside both planes (asserted above; both
         // planes have `self.plane` elements); exclusivity is the caller's
         // contract above.
@@ -1520,19 +1136,27 @@ impl<'a> Octet<'a> {
     /// bit (a one-qubit atom on that wire, first strip first); returns the
     /// number of spans, each one [`Self::pair`].
     pub(crate) fn plan_pairs(&mut self, wm: usize) -> usize {
-        let mut tuples = [[0usize; 2]; 4];
-        for (t, x) in tuples.iter_mut().zip((0..8usize).filter(|x| x & wm == 0)) {
+        let mut tuples = [[0usize; 2]; MAX_STRIPS / 2];
+        for (t, x) in tuples
+            .iter_mut()
+            .zip((0..self.strips).filter(|x| x & wm == 0))
+        {
             *t = [self.off[x], self.off[x | wm]];
         }
-        plan_spans(&mut tuples, self.bases, self.len, self.pairs);
-        self.pairs.len()
+        plan_spans(
+            &mut tuples[..self.strips / 2],
+            self.bases,
+            self.len,
+            &mut self.plans.pairs,
+        );
+        self.plans.pairs.len()
     }
 
     /// Span `i` of the current pair plan as the four planar slices the
     /// pair kernels take.
     #[inline(always)]
     pub(crate) fn pair(&mut self, i: usize) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
-        let Span { at, len } = self.pairs[i];
+        let Span { at, len } = self.plans.pairs[i];
         // SAFETY: the two runs of one span belong to two distinct strips
         // of the plan (disjoint, see the struct invariant) and are
         // returned under the `&mut self` borrow.
@@ -1540,21 +1164,26 @@ impl<'a> Octet<'a> {
         (r0, i0, r1, i1)
     }
 
-    /// Plans the two quartets of a two-qubit atom on the wires at strip
-    /// masks `am`/`bm` (one per value of the free strip bit, in the
+    /// Plans the quartets of a two-qubit atom on the wires at strip masks
+    /// `am`/`bm` — one per value of the free strip bit, if any — in the
     /// segment's `(A, B)` order with wire A as the quartet's most
-    /// significant bit); returns the number of spans, each one
+    /// significant bit; returns the number of spans, each one
     /// [`Self::quartet`].
     fn plan_quartets(&mut self, am: usize, bm: usize) -> usize {
-        let fm = 7usize ^ am ^ bm;
+        let fm = (self.strips - 1) ^ am ^ bm;
         let mut tuples = [0, fm].map(|f| [f, f | bm, f | am, f | am | bm].map(|x| self.off[x]));
-        plan_spans(&mut tuples, self.bases, self.len, self.quartets);
-        self.quartets.len()
+        plan_spans(
+            &mut tuples[..self.strips / 4],
+            self.bases,
+            self.len,
+            &mut self.plans.quartets,
+        );
+        self.plans.quartets.len()
     }
 
     /// Span `i` of the current quartet plan as a quartet tile.
     fn quartet(&mut self, i: usize) -> Quartet<'_> {
-        let Span { at, len } = self.quartets[i];
+        let Span { at, len } = self.plans.quartets[i];
         // SAFETY: the four runs of one span belong to four distinct strips
         // of the plan (disjoint, see the struct invariant) and are
         // returned under the `&mut self` borrow.
@@ -1565,28 +1194,29 @@ impl<'a> Octet<'a> {
         }
     }
 
-    /// Swaps the strip references `x` and `y` (a CNOT: the amplitudes keep
-    /// their places, only their labels move).
-    #[inline(always)]
-    fn swap(&mut self, x: usize, y: usize) {
-        self.off.swap(x, y);
+    /// A CNOT on the wires at strip masks `cm` (control) and `tm`
+    /// (target): swaps the strip references `x` and `x | tm` of every
+    /// control-set `x` — the amplitudes keep their places, only their
+    /// labels move.
+    fn cnot(&mut self, cm: usize, tm: usize) {
+        for x in (0..self.strips).filter(|x| x & cm != 0 && x & tm == 0) {
+            self.off.swap(x, x | tm);
+        }
     }
 
-    /// Moves every strip back to its natural offset — the octet
-    /// counterpart of [`materialize_strips`]. An identity permutation
-    /// (every back-to-back CNOT pair) moves nothing.
+    /// Moves every strip back to its natural offset. An identity
+    /// permutation (every back-to-back CNOT pair) moves nothing.
     fn materialize(&mut self) {
-        for q in 0..8 {
+        for q in 0..self.strips {
             while self.off[q] != self.home[q] {
-                let p = self
-                    .off
+                let p = self.off[..self.strips]
                     .iter()
                     .position(|&o| o == self.home[q])
                     .expect("strip offsets are a permutation");
                 // Strips `q != p` (strip `q` is not home yet) as one pair.
                 let mut tuple = [[self.off[q], self.off[p]]];
-                plan_spans(&mut tuple, self.bases, self.len, self.pairs);
-                for i in 0..self.pairs.len() {
+                plan_spans(&mut tuple, self.bases, self.len, &mut self.plans.pairs);
+                for i in 0..self.plans.pairs.len() {
                     let (rq, iq, rp, ip) = self.pair(i);
                     rq.swap_with_slice(rp);
                     iq.swap_with_slice(ip);
@@ -1597,18 +1227,19 @@ impl<'a> Octet<'a> {
     }
 }
 
-/// Applies a three-qubit supergroup chain to one octet window: one-qubit
-/// atoms run the exact pair kernels over the four strip pairs of their
-/// wire, two-qubit atoms run the exact quartet kernels over the two
-/// quartets spanned by their wires, CNOTs permute the strip references
-/// (materialised once at chain end). Each atom's kernel walks the
-/// window's span plan inside its own dispatch.
+/// Applies a supergroup chain to one window: one-qubit atoms run the exact
+/// pair kernels over the strip pairs of their wire, two-qubit atoms run
+/// the exact quartet kernels over the quartets spanned by their wires,
+/// CNOTs permute the strip references (materialised once at chain end).
+/// Each atom's kernel walks the window's span plan inside its own
+/// dispatch.
 #[inline(always)]
-fn chain_3q_tile(kernel: KernelMode, passes: &[Pass3q], o: &mut Octet<'_>, b: usize) {
-    for pass in passes {
+fn chain_window(kernel: KernelMode, chain: &Chain<'_>, o: &mut Window<'_>, b: usize) {
+    let row = |at: usize| &chain.rows[at..at + b];
+    for pass in chain.passes {
         match *pass {
-            Pass3q::Unitary1(m, class, wb) => {
-                let wm = 1usize << wb;
+            Pass::Unitary1(m2, class, wb) => {
+                let (m, wm) = (chain.program.m2(m2), 1usize << wb);
                 match kernel {
                     KernelMode::Scalar => {
                         for i in 0..o.plan_pairs(wm) {
@@ -1622,141 +1253,126 @@ fn chain_3q_tile(kernel: KernelMode, passes: &[Pass3q], o: &mut Octet<'_>, b: us
                         // `avx2_supported()` returned true, so the avx2
                         // target feature is available on this CPU.
                         unsafe {
-                            crate::panel_simd::unitary1_octet_avx2(m, class, o, wm);
+                            crate::panel_simd::unitary1_window_avx2(m, class, o, wm);
                         }
                         #[cfg(not(target_arch = "x86_64"))]
                         unreachable!("KernelMode::Avx2 cannot be constructed off x86_64");
                     }
                 }
             }
-            Pass3q::Jump1(row, wb) => {
+            Pass::Jump1(at, wb) => {
                 let spans = o.plan_pairs(1usize << wb);
-                for (c, &code) in row.iter().enumerate().filter(|(_, &code)| code != 0) {
+                // Walk jumping columns only; with calibration-scale λ most
+                // atoms jump in no or few columns per chunk.
+                for (c, &code) in row(at).iter().enumerate().filter(|(_, &code)| code != 0) {
                     for i in 0..spans {
                         let (r0, i0, r1, i1) = o.pair(i);
                         jump1_column(code as usize, c, b, r0, i0, r1, i1);
                     }
                 }
             }
-            Pass3q::Swap(cb, tb) => {
-                let cm = 1usize << cb;
-                let tm = 1usize << tb;
-                for x in (0..8usize).filter(|x| x & cm != 0 && x & tm == 0) {
-                    o.swap(x, x | tm);
-                }
-            }
-            Pass3q::Unitary2(m, swapped, ab, bb) => {
+            Pass::Swap(cb, tb) => o.cnot(1usize << cb, 1usize << tb),
+            Pass::Unitary2(m4, swapped, ab, bb) => {
+                let m = chain.program.m4(m4);
                 for i in 0..o.plan_quartets(1usize << ab, 1usize << bb) {
                     apply_unitary2(kernel, m, swapped, &mut o.quartet(i));
                 }
             }
-            Pass3q::Jump2(row, swapped, ab, bb) => {
+            Pass::Jump2(at, swapped, ab, bb) => {
                 let spans = o.plan_quartets(1usize << ab, 1usize << bb);
-                for (c, &code) in row.iter().enumerate().filter(|(_, &code)| code != 0) {
+                for (c, &code) in row(at).iter().enumerate().filter(|(_, &code)| code != 0) {
                     for i in 0..spans {
                         jump2_column(code as usize, c, b, swapped, &mut o.quartet(i));
                     }
                 }
             }
-            Pass3q::Skip => {}
+            Pass::Skip => {}
         }
     }
     o.materialize();
 }
 
-/// Executes a three-qubit pass chain over the whole panel in a single
-/// tiled pass — the octet counterpart of [`run_quartet_pass`]: each
-/// cache-sized octet window (eight strips in the supergroup's `(A, B, C)`
-/// wire basis) hosts the whole chain, so a full entangling layer plus its
-/// noise interleave costs one panel memory pass.
+/// Executes one supergroup's chain over the whole panel in a single tiled
+/// pass: each cache-sized window of the group's `2^k` strips (`wires` in
+/// the group's first-seen order) hosts the whole chain, so a full
+/// entangling layer plus its noise interleave costs one panel memory pass.
 ///
-/// The panel is walked as nested half-blocks of the three sorted wire
-/// strides `s0 < s1 < s2`: each sub-octet start `ts` owns the strips at
-/// `ts + {0,su} + {0,sv} + {0,sw}`, each at most a tile long. When the
-/// lowest wire's stride `s0` is shorter than a tile (low wires: as short
-/// as `b` elements for qubit 0), one window takes `tile / s0` consecutive
-/// sub-octets by reference, the chain is dispatched once per window, and
+/// Sub-block starts are enumerated as compressed offsets — positions in
+/// the panel with the group's wires removed — expanded by inserting a zero
+/// digit at each of the sorted wire strides `s0 < s1 < …`, lowest first
+/// (the [`insert_zero_bit`] idiom, applied to strides). Each start owns
+/// the strips at `start + home[x]`, each at most a tile long. When the
+/// lowest stride `s0` is shorter than a tile (low wires: as short as `b`
+/// elements for qubit 0), one window takes `tile / s0` consecutive
+/// sub-blocks by reference, the chain is dispatched once per window, and
 /// each atom's kernel runs over the window's coalesced spans rather than
-/// once per sub-octet. Every kernel is elementwise across strip positions
+/// once per sub-block. Every kernel is elementwise across strip positions
 /// (the jump kernels map position `j` to column `j % b`, and every run
 /// starts at a multiple of `b`), so each element sees bit-for-bit the
-/// arithmetic of its own sub-octet.
-#[allow(clippy::too_many_arguments)]
-fn run_octet_pass(
+/// arithmetic of its own sub-block.
+fn run_pass(
     kernel: KernelMode,
     re: &mut [f64],
     im: &mut [f64],
     b: usize,
-    u: usize,
-    v: usize,
-    w: usize,
-    passes: &[Pass3q],
+    wires: &[usize],
+    chain: &Chain<'_>,
+    scratch: &mut WindowScratch,
 ) {
-    let su = (1usize << u) * b;
-    let sv = (1usize << v) * b;
-    let sw = (1usize << w) * b;
-    let total = re.len();
-    debug_assert_eq!(total, im.len(), "re/im planes differ in length");
-    let mut sorted = [su, sv, sw];
+    let k = wires.len();
+    let mut strides = [0usize; SUPERGROUP_CAP];
+    for (s, &q) in strides.iter_mut().zip(wires) {
+        *s = (1usize << q) * b;
+    }
+    let strides = &strides[..k];
+    let mut sorted = [0usize; SUPERGROUP_CAP];
+    sorted[..k].copy_from_slice(strides);
+    let sorted = &mut sorted[..k];
     sorted.sort_unstable();
-    let [s0, s1, s2] = sorted;
+    let total = re.len();
     assert!(
         b > 0
-            && s0 < s1
-            && s1 < s2
-            && total.is_multiple_of(2 * s2)
-            && s2.is_multiple_of(2 * s1)
-            && s1.is_multiple_of(2 * s0),
-        "wire strides for ({u}, {v}, {w}) do not tile the {total}-element \
-         panel (wire out of range, aliased wires, or corrupt panel shape)"
+            && total.is_multiple_of(2 * sorted[k - 1])
+            && sorted.windows(2).all(|s| s[1].is_multiple_of(2 * s[0])),
+        "wire strides for {wires:?} do not tile the {total}-element panel \
+         (wire out of range, aliased wires, or corrupt panel shape)"
     );
-    // Octet index → offset of that strip from its sub-octet's start.
-    let home: [usize; 8] = std::array::from_fn(|x| {
-        (if x & 4 != 0 { su } else { 0 })
-            + (if x & 2 != 0 { sv } else { 0 })
-            + (if x & 1 != 0 { sw } else { 0 })
-    });
+    let s0 = sorted[0];
     let tile = b * (TILE_ELEMS / b).max(1);
     let len_cap = tile.min(s0);
     let runs_cap = (tile / len_cap).max(1);
-    let mut bases: Vec<usize> = Vec::with_capacity(runs_cap);
-    let mut scratch = OctetScratch::default();
-    let mut window_len = len_cap;
+    let WindowScratch { bases, plans } = scratch;
+    bases.clear();
     let mut run_window = |bases: &[usize], len: usize| {
-        // The walk below yields each sub-octet start once, and the runs
-        // `ts + home[x] .. + len` of all starts and strips tile the panel
-        // without overlap (each stride divides the next, as asserted
-        // above; a sub-octet's runs are at most `s0` long).
+        // The walk below yields each sub-block start once, and the runs
+        // `start + home[x] .. + len` of all starts and strips tile the
+        // panel without overlap (each stride divides the next, as asserted
+        // above; a sub-block's runs are at most `s0` long).
         // SAFETY: a window holds a subset of those runs, so they are
         // pairwise disjoint.
-        let mut o = unsafe { Octet::new(re, im, home, bases, len, &mut scratch) };
-        chain_3q_tile(kernel, passes, &mut o, b);
+        let mut o = unsafe { Window::new(re, im, strides, bases, len, plans) };
+        chain_window(kernel, chain, &mut o, b);
     };
-    let mut b2 = 0usize;
-    while b2 < total {
-        let mut b1 = b2;
-        while b1 < b2 + s2 {
-            let mut b0 = b1;
-            while b0 < b1 + s1 {
-                let mut ts = b0;
-                while ts < b0 + s0 {
-                    let len = len_cap.min(b0 + s0 - ts);
-                    if !bases.is_empty() && (len != window_len || bases.len() == runs_cap) {
-                        run_window(&bases, window_len);
-                        bases.clear();
-                    }
-                    window_len = len;
-                    bases.push(ts);
-                    ts += len;
-                }
-                b0 += 2 * s0;
+    // Compressed offset → panel offset: one zero digit per wire stride.
+    let expand = |x: usize| sorted.iter().fold(x, |x, &s| x / s * (2 * s) + x % s);
+    let mut window_len = len_cap;
+    for run in (0..total >> k).step_by(s0) {
+        // A run of `s0` compressed offsets expands to one contiguous
+        // sub-block stretch; tile it.
+        let mut x = run;
+        while x < run + s0 {
+            let len = len_cap.min(run + s0 - x);
+            if !bases.is_empty() && (len != window_len || bases.len() == runs_cap) {
+                run_window(bases, window_len);
+                bases.clear();
             }
-            b1 += 2 * s1;
+            window_len = len;
+            bases.push(expand(x));
+            x += len;
         }
-        b2 += 2 * s2;
     }
     if !bases.is_empty() {
-        run_window(&bases, window_len);
+        run_window(bases, window_len);
     }
 }
 
@@ -1768,11 +1384,14 @@ fn run_octet_pass(
 /// The per-trajectory engine ([`TrajectoryWorkspace`]) pays the full
 /// per-op cost — matrix classification, segment dispatch, bit-twiddled
 /// index enumeration, and one full state sweep per atom — once *per
-/// trajectory*. The panel executes each fused **segment** in a single
-/// tiled pass across all `B` columns: atoms are precompiled into a pass
-/// chain, each cache-resident tile hosts the whole chain before moving
-/// on, and the split real/imaginary planes make the inner loops
-/// branch-free contiguous `f64` sweeps that auto-vectorise. Stochastic
+/// trajectory*. The panel executes each **supergroup** (see
+/// [`supergroups`]) in a single tiled pass across all `B` columns: atoms
+/// are precompiled into a pass chain, each cache-resident window hosts
+/// the whole chain before moving on, and the split real/imaginary planes
+/// make the inner loops branch-free contiguous `f64` sweeps that
+/// auto-vectorise. One window engine serves groups of one, two and three
+/// wires, and the pass list, branch rows and window buffers live on the
+/// panel, so a steady-state run allocates nothing. Stochastic
 /// jumps stay per-trajectory — each column consumes its own pre-drawn
 /// uniforms and receives its own Pauli jumps — so every column is
 /// **bit-identical** to the trajectory the workspace engine would produce
@@ -1790,7 +1409,8 @@ pub struct TrajectoryPanel {
     norms: Vec<f64>,
     uniforms: Vec<f64>,
     branch_rows: Vec<u8>,
-    branch_any: Vec<bool>,
+    passes: Vec<Pass>,
+    window: WindowScratch,
     kernel: KernelMode,
 }
 
@@ -1804,7 +1424,8 @@ impl Default for TrajectoryPanel {
             norms: Vec::new(),
             uniforms: Vec::new(),
             branch_rows: Vec::new(),
-            branch_any: Vec::new(),
+            passes: Vec::new(),
+            window: WindowScratch::default(),
             kernel: KernelMode::detect(),
         }
     }
@@ -1927,205 +1548,79 @@ impl TrajectoryPanel {
             "need one uniform per stochastic atom per column"
         );
         let b = self.batch;
-        let kernel = self.kernel;
         let mut s = 0usize;
-        let mut rows = std::mem::take(&mut self.branch_rows);
-        let mut any = std::mem::take(&mut self.branch_any);
         let segs = program.segments();
         for group in supergroups(program) {
-            let (u, v, w) = (group.u, group.v, group.w);
-            let group_segs = &segs[group.segments];
-            // Pre-sample the group's jump branches: branch `k` of
-            // stochastic atom `j` for column `c` is a pure function of the
-            // column's pre-drawn uniform, so sampling them up front (one
-            // row per stochastic atom) consumes exactly the per-trajectory
-            // engine's draw sequence.
+            // The group's wires in first-seen order; wire `i` is strip bit
+            // `k − 1 − i` of the pass's windows.
+            let mut wires = [group.u; SUPERGROUP_CAP];
+            let mut k = 1;
+            for q in [group.v, group.w].into_iter().flatten() {
+                wires[k] = q;
+                k += 1;
+            }
+            let wires = &wires[..k];
+            let bit_of = |q: usize| {
+                k - 1
+                    - wires
+                        .iter()
+                        .position(|&x| x == q)
+                        .expect("segment qubit outside the group's wire basis")
+            };
+            // Pre-sample each stochastic atom's jump branches as the chain
+            // is built: the branch of stochastic atom `s` for column `c` is
+            // a pure function of the column's pre-drawn uniform, so
+            // sampling them up front (one row per jumping atom) consumes
+            // exactly the per-trajectory engine's draw sequence.
+            let rows = &mut self.branch_rows;
             rows.clear();
-            any.clear();
-            for seg in group_segs {
+            let mut sample = |branch: fn(f64, f64) -> usize, lambda: f64| {
+                let at = rows.len();
+                rows.extend((0..b).map(|c| branch(lambda, uniforms[c * n_stoch + s]) as u8));
+                s += 1;
+                if rows[at..].iter().all(|&code| code == 0) {
+                    rows.truncate(at);
+                    None
+                } else {
+                    Some(at)
+                }
+            };
+            self.passes.clear();
+            for seg in &segs[group.segments] {
+                let (a, second) = support_qubits(seg);
+                let (ab, bb) = (bit_of(a), second.map(bit_of));
                 for atom in program.atoms_in(seg) {
-                    let lambda = match *atom {
-                        FusedAtom::Depol1 { lambda } => lambda,
-                        FusedAtom::Depol2 { lambda, .. } => lambda,
-                        _ => continue,
-                    };
-                    let two_qubit = matches!(atom, FusedAtom::Depol2 { .. });
-                    let mut any_jump = false;
-                    for c in 0..b {
-                        let uni = uniforms[c * n_stoch + s];
-                        let k = if two_qubit {
-                            depol2_branch(lambda, uni)
-                        } else {
-                            depol1_branch(lambda, uni)
-                        } as u8;
-                        any_jump |= k != 0;
-                        rows.push(k);
-                    }
-                    any.push(any_jump);
-                    s += 1;
+                    self.passes.push(match (*atom, bb) {
+                        (FusedAtom::Unitary1 { m2, class }, None) => Pass::Unitary1(m2, class, ab),
+                        (FusedAtom::Depol1 { lambda }, None) => sample(depol1_branch, lambda)
+                            .map_or(Pass::Skip, |at| Pass::Jump1(at, ab)),
+                        (FusedAtom::Cx { control: Wire::A }, Some(bb)) => Pass::Swap(ab, bb),
+                        (FusedAtom::Cx { control: Wire::B }, Some(bb)) => Pass::Swap(bb, ab),
+                        (FusedAtom::Unitary2 { m4, swapped }, Some(bb)) => {
+                            Pass::Unitary2(m4, swapped, ab, bb)
+                        }
+                        (FusedAtom::Depol2 { lambda, swapped }, Some(bb)) => {
+                            sample(depol2_branch, lambda)
+                                .map_or(Pass::Skip, |at| Pass::Jump2(at, swapped, ab, bb))
+                        }
+                        _ => unreachable!("atom arity disagrees with its segment's support"),
+                    });
                 }
             }
-            match (v, w) {
-                (None, _) => {
-                    // Single-qubit group: cheaper pair tiles.
-                    let mut passes: Vec<Pass1q> = Vec::new();
-                    let mut jump = 0usize;
-                    for seg in group_segs {
-                        for atom in program.atoms_in(seg) {
-                            match *atom {
-                                FusedAtom::Unitary1 { m2, class } => {
-                                    passes.push(Pass1q::Unitary(program.m2(m2), class));
-                                }
-                                FusedAtom::Depol1 { .. } => {
-                                    passes.push(if any[jump] {
-                                        Pass1q::Jump(&rows[jump * b..(jump + 1) * b])
-                                    } else {
-                                        Pass1q::Skip
-                                    });
-                                    jump += 1;
-                                }
-                                _ => unreachable!("two-qubit atom in one-qubit group"),
-                            }
-                        }
-                    }
-                    run_pair_pass(kernel, &mut self.re, &mut self.im, b, u, &passes);
-                }
-                (Some(v), None) => {
-                    let mut passes: Vec<Pass2q> = Vec::new();
-                    let mut jump = 0usize;
-                    for seg in group_segs {
-                        // Orientation of this segment inside the group's
-                        // (u, v) wire basis.
-                        let flip = match seg.support() {
-                            Support::One(_) => false,
-                            Support::Two(a, _) => a != u,
-                        };
-                        let on_b = match seg.support() {
-                            Support::One(q) => q == v,
-                            Support::Two(..) => false,
-                        };
-                        for atom in program.atoms_in(seg) {
-                            match *atom {
-                                FusedAtom::Unitary1 { m2, class } => {
-                                    passes.push(Pass2q::Unitary1(program.m2(m2), class, on_b));
-                                }
-                                FusedAtom::Depol1 { .. } => {
-                                    passes.push(if any[jump] {
-                                        Pass2q::Jump1(&rows[jump * b..(jump + 1) * b], on_b)
-                                    } else {
-                                        Pass2q::Skip
-                                    });
-                                    jump += 1;
-                                }
-                                FusedAtom::Cx { control } => {
-                                    passes.push(if (control == Wire::A) != flip {
-                                        Pass2q::SwapA
-                                    } else {
-                                        Pass2q::SwapB
-                                    });
-                                }
-                                FusedAtom::Unitary2 { m4, swapped } => {
-                                    passes.push(Pass2q::Unitary(program.m4(m4), swapped != flip));
-                                }
-                                FusedAtom::Depol2 { swapped, .. } => {
-                                    passes.push(if any[jump] {
-                                        Pass2q::Jump(
-                                            &rows[jump * b..(jump + 1) * b],
-                                            swapped != flip,
-                                        )
-                                    } else {
-                                        Pass2q::Skip
-                                    });
-                                    jump += 1;
-                                }
-                            }
-                        }
-                    }
-                    run_quartet_pass(kernel, &mut self.re, &mut self.im, b, u, v, &passes);
-                }
-                (Some(v), Some(w)) => {
-                    // Three-qubit group: octet tiles in the group's
-                    // (u, v, w) wire basis (strip bits 2, 1, 0).
-                    let bit_of = |q: usize| {
-                        if q == u {
-                            2usize
-                        } else if q == v {
-                            1
-                        } else {
-                            debug_assert_eq!(q, w, "segment qubit outside the group's wire basis");
-                            0
-                        }
-                    };
-                    let mut passes: Vec<Pass3q> = Vec::new();
-                    let mut jump = 0usize;
-                    for seg in group_segs {
-                        match seg.support() {
-                            Support::One(q) => {
-                                let wb = bit_of(q);
-                                for atom in program.atoms_in(seg) {
-                                    match *atom {
-                                        FusedAtom::Unitary1 { m2, class } => {
-                                            passes.push(Pass3q::Unitary1(
-                                                program.m2(m2),
-                                                class,
-                                                wb,
-                                            ));
-                                        }
-                                        FusedAtom::Depol1 { .. } => {
-                                            passes.push(if any[jump] {
-                                                Pass3q::Jump1(&rows[jump * b..(jump + 1) * b], wb)
-                                            } else {
-                                                Pass3q::Skip
-                                            });
-                                            jump += 1;
-                                        }
-                                        _ => unreachable!("two-qubit atom in one-qubit segment"),
-                                    }
-                                }
-                            }
-                            Support::Two(a, bq) => {
-                                let ab = bit_of(a);
-                                let bb = bit_of(bq);
-                                for atom in program.atoms_in(seg) {
-                                    match *atom {
-                                        FusedAtom::Cx { control } => {
-                                            let (cb, tb) = if control == Wire::A {
-                                                (ab, bb)
-                                            } else {
-                                                (bb, ab)
-                                            };
-                                            passes.push(Pass3q::Swap(cb, tb));
-                                        }
-                                        FusedAtom::Unitary2 { m4, swapped } => {
-                                            passes.push(Pass3q::Unitary2(
-                                                program.m4(m4),
-                                                swapped,
-                                                ab,
-                                                bb,
-                                            ));
-                                        }
-                                        FusedAtom::Depol2 { swapped, .. } => {
-                                            passes.push(if any[jump] {
-                                                Pass3q::Jump2(
-                                                    &rows[jump * b..(jump + 1) * b],
-                                                    swapped,
-                                                    ab,
-                                                    bb,
-                                                )
-                                            } else {
-                                                Pass3q::Skip
-                                            });
-                                            jump += 1;
-                                        }
-                                        _ => unreachable!("one-qubit atom in two-qubit segment"),
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    run_octet_pass(kernel, &mut self.re, &mut self.im, b, u, v, w, &passes);
-                }
-            }
+            let chain = Chain {
+                passes: &self.passes,
+                program,
+                rows: &self.branch_rows,
+            };
+            run_pass(
+                self.kernel,
+                &mut self.re,
+                &mut self.im,
+                b,
+                wires,
+                &chain,
+                &mut self.window,
+            );
         }
         // Uniform-consumption invariant: the panel pass must drain exactly
         // the per-trajectory draw budget, or column replay is not
@@ -2134,8 +1629,6 @@ impl TrajectoryPanel {
             s, n_stoch,
             "panel pass consumed {s} of {n_stoch} stochastic draws"
         );
-        self.branch_rows = rows;
-        self.branch_any = any;
     }
 
     /// `P(1)` of every qubit of every column in one pass over the panel:
@@ -2655,7 +2148,7 @@ mod tests {
     fn supergroup_planner_joins_three_qubit_support() {
         let program = noisy_test_program();
         // Ry(0)·dep₁(0) / CX(0,1)·dep₂(0,1) / Rz(2) / Cry(1,2)·dep₂(2,1)
-        // spans exactly {0, 1, 2}: one octet group covers the program,
+        // spans exactly {0, 1, 2}: one three-wire group covers the program,
         // wires in first-seen order.
         let plan = supergroup_plan(&program);
         assert_eq!(plan.len(), 1);

@@ -23,8 +23,11 @@
 //!   IR contract;
 //! - every stochastic atom's `λ` is finite and in `(0, 1]`;
 //! - the panel supergroup plan covers all segments contiguously and every
-//!   group's union support fits the `(u, v, w)` wire basis within
-//!   [`SUPERGROUP_CAP`](crate::trajectory::SUPERGROUP_CAP).
+//!   group's union support fits its `(u, v, w)` wire basis: the
+//!   `k ≤ `[`SUPERGROUP_CAP`](crate::trajectory::SUPERGROUP_CAP) wires
+//!   whose `2^k` strips the panel's one window engine walks (wire `i` is
+//!   strip bit `k − 1 − i`), so every atom of the group addresses a strip
+//!   of the pass that runs it.
 //!
 //! [`verify_program`] is wired as a `debug_assert!` at the
 //! [`ProgramBuilder`](crate::fused::ProgramBuilder) compile boundary and is

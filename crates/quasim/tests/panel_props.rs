@@ -187,14 +187,18 @@ proptest! {
         }
     }
 
-    /// Low-wire octet windows: on a 12-qubit register, three-wire
-    /// supergroups whose lowest wire is 0, 1 or 2 and whose other wires
-    /// are 6 or above have a lowest stride shorter than a tile, so each
-    /// pass dispatches its chain once per window of many sub-octets. CNOTs
-    /// in both orientations (reference swaps that do and do not cancel),
-    /// two-qubit depolarising jumps, RY and one-qubit jumps on every wire
-    /// of each group must still give the per-trajectory estimate bit for
-    /// bit, at every width and under both kernel modes.
+    /// Low-wire windows of every supergroup width: on a 12-qubit register,
+    /// three-wire supergroups whose lowest wire is 0, 1 or 2 and whose
+    /// other wires are 6 or above have a lowest stride shorter than a
+    /// tile, so each pass dispatches its chain once per window of many
+    /// sub-blocks. CNOTs in both orientations (reference swaps that do
+    /// and do not cancel), two-qubit depolarising jumps, RY and one-qubit
+    /// jumps on every wire of each group must still give the
+    /// per-trajectory estimate bit for bit. Back-to-back two-qubit
+    /// segments on disjoint pairs then form two-wire groups on low and
+    /// wide wires, the program ends in a one-wire tail group, and a
+    /// 1-qubit register runs one-wire groups alone — all at every width
+    /// and under both kernel modes.
     #[test]
     fn low_wire_octet_windows_bit_identical(
         seed in any::<u64>(),
@@ -202,6 +206,9 @@ proptest! {
     ) {
         const N: usize = 12;
         const GROUPS: [(usize, usize, usize); 3] = [(0, 6, 9), (1, 7, 10), (2, 8, 11)];
+        // Disjoint pairs, each its own two-wire group (low, wide, mixed)
+        // until the last, which wire 3 fills to three wires.
+        const PAIRS: [(usize, usize); 4] = [(0, 1), (10, 6), (2, 7), (11, 5)];
         let ry = |b: &mut ProgramBuilder, q: usize, theta: f64| {
             b.unitary_1q(q, GateKind::Ry.entries_1q(theta).unwrap());
         };
@@ -225,6 +232,22 @@ proptest! {
             b.cx(lo, h1);
             b.unitary_2q(h2, lo, GateKind::Cry.entries_2q(0.8).unwrap());
         }
+        for (x, y) in PAIRS {
+            b.cx(x, y);
+            b.depolarize_2q(0.2, x, y);
+            ry(&mut b, y, 0.9);
+            b.depolarize_1q(y, 0.15);
+            b.unitary_2q(y, x, GateKind::Crx.entries_2q(-0.6).unwrap());
+            b.depolarize_2q(0.2, y, x);
+            b.cx(y, x);
+            ry(&mut b, x, -0.5);
+        }
+        // Wire 3 fills the last pair's group to three wires, so the
+        // closing segments on wire 9 open a one-wire tail group.
+        ry(&mut b, 3, 0.4);
+        ry(&mut b, 9, 1.3);
+        b.depolarize_1q(9, 0.3);
+        b.unitary_1q(9, GateKind::Rz.entries_1q(0.6).unwrap());
         let program = b.finish();
         let plan = supergroup_plan(&program);
         for (lo, h1, h2) in GROUPS {
@@ -239,24 +262,49 @@ proptest! {
                 "no octet supergroup on wires {:?}", want
             );
         }
-        let qubits: Vec<usize> = (0..N).collect();
-        let mut ws = TrajectoryWorkspace::new();
-        let reference = estimate_prob_one(&mut ws, &program, &qubits, 8, seed);
+        for (i, (x, y)) in PAIRS.into_iter().enumerate() {
+            let third = if i + 1 == PAIRS.len() { Some(3) } else { None };
+            prop_assert!(
+                plan.iter().any(|g| g.u == x && g.v == Some(y) && g.w == third),
+                "no supergroup on wires ({}, {}, {:?})", x, y, third
+            );
+        }
+        let tail = plan.last().expect("non-empty plan");
+        prop_assert!(
+            (tail.u, tail.v) == (9, None),
+            "no one-wire tail group: {:?}", tail
+        );
+
+        // A 1-qubit register: every group is one wire wide.
+        let mut one = ProgramBuilder::new(1);
+        for theta in [0.3, -1.2, 2.1] {
+            ry(&mut one, 0, theta);
+            one.depolarize_1q(0, 0.25);
+            one.unitary_1q(0, GateKind::Rx.entries_1q(theta).unwrap());
+        }
+        let one = one.finish();
+        prop_assert!(supergroup_plan(&one).iter().all(|g| g.v.is_none()));
+
         let mut modes = vec![KernelMode::Scalar];
         if KernelMode::avx2_supported() {
             modes.push(KernelMode::Avx2);
         }
-        for mode in modes {
-            let mut panel = TrajectoryPanel::new();
-            panel.set_kernel_mode(mode);
-            let got = estimate_prob_one_panel(&mut panel, &program, &qubits, 8, seed, width);
-            for q in 0..N {
-                prop_assert!(
-                    got.p_one[q].to_bits() == reference.p_one[q].to_bits()
-                        && got.std_err[q].to_bits() == reference.std_err[q].to_bits(),
-                    "{:?} width {} qubit {}: {} vs {}",
-                    mode, width, q, got.p_one[q], reference.p_one[q]
-                );
+        for (program, n) in [(&program, N), (&one, 1)] {
+            let qubits: Vec<usize> = (0..n).collect();
+            let mut ws = TrajectoryWorkspace::new();
+            let reference = estimate_prob_one(&mut ws, program, &qubits, 8, seed);
+            for &mode in &modes {
+                let mut panel = TrajectoryPanel::new();
+                panel.set_kernel_mode(mode);
+                let got = estimate_prob_one_panel(&mut panel, program, &qubits, 8, seed, width);
+                for q in 0..n {
+                    prop_assert!(
+                        got.p_one[q].to_bits() == reference.p_one[q].to_bits()
+                            && got.std_err[q].to_bits() == reference.std_err[q].to_bits(),
+                        "{:?} width {} {}-qubit register, qubit {}: {} vs {}",
+                        mode, width, n, q, got.p_one[q], reference.p_one[q]
+                    );
+                }
             }
         }
     }

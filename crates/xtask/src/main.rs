@@ -1,10 +1,11 @@
 //! Workspace automation tasks (`cargo run -p xtask -- <task>`).
 //!
-//! The only task today is `lint`: a hand-rolled line scanner (the build
-//! environment has no crates.io access, so no syn/regex) enforcing the
-//! project's determinism and unsafe-readiness rules over the source tree.
-//! See the rule catalogue in [`rules`] and the "Correctness tooling"
-//! section of the README.
+//! - `lint`: a hand-rolled line scanner (the build environment has no
+//!   crates.io access, so no syn/regex) enforcing the project's
+//!   determinism and unsafe-readiness rules over the source tree. See the
+//!   rule catalogue in [`rules`] and the "Correctness tooling" section of
+//!   the README.
+//! - `loc`: first-party code lines per crate and in total (see [`loc`]).
 //!
 //! Audited exceptions are annotated in the source with
 //! `// qucad-lint: allow(<rule>)` on the offending line or the line
@@ -14,6 +15,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+mod loc;
 mod rules;
 mod scan;
 
@@ -21,12 +23,13 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("lint") => lint(),
+        Some("loc") => loc(),
         Some(other) => {
-            eprintln!("unknown task '{other}'; available tasks: lint");
+            eprintln!("unknown task '{other}'; available tasks: lint, loc");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("usage: cargo run -p xtask -- lint");
+            eprintln!("usage: cargo run -p xtask -- <lint|loc>");
             ExitCode::FAILURE
         }
     }
@@ -66,6 +69,17 @@ fn lint() -> ExitCode {
     }
 }
 
+/// Prints first-party code lines per crate and in total.
+fn loc() -> ExitCode {
+    let counts = loc::count_crates(&workspace_root());
+    for (name, lines) in &counts {
+        println!("{name:<12} {lines:>7}");
+    }
+    let total: usize = counts.iter().map(|(_, n)| n).sum();
+    println!("{:<12} {total:>7}", "total");
+    ExitCode::SUCCESS
+}
+
 /// The workspace root: xtask always runs via `cargo run -p xtask`, so the
 /// manifest dir is `<root>/crates/xtask`.
 fn workspace_root() -> PathBuf {
@@ -80,7 +94,7 @@ fn workspace_root() -> PathBuf {
 /// Every `.rs` file the lint covers: workspace sources and tests, skipping
 /// the vendored stand-ins (external idiom, not project code) and build
 /// artifacts. Sorted for deterministic output.
-fn collect_sources(root: &Path) -> Vec<PathBuf> {
+pub(crate) fn collect_sources(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {

@@ -116,7 +116,18 @@ fn collect_allows(raw: &[&str]) -> Vec<Allow> {
 /// comments, nested-free block comments, ordinary/raw string literals,
 /// and char literals enough for token scanning; lifetimes (`'a`) are left
 /// intact.
-fn strip(text: &str) -> Vec<String> {
+pub fn strip(text: &str) -> Vec<String> {
+    blank(text, false)
+}
+
+/// Blanks comments only, keeping string and char literals: the view in
+/// which a line holding nothing but part of a literal is still code.
+pub fn strip_comments(text: &str) -> Vec<String> {
+    blank(text, true)
+}
+
+/// The scanner behind [`strip`] and [`strip_comments`].
+fn blank(text: &str, keep_literals: bool) -> Vec<String> {
     #[derive(PartialEq)]
     enum State {
         Code,
@@ -135,6 +146,8 @@ fn strip(text: &str) -> Vec<String> {
         let mut kept = vec![b' '; bytes.len()];
         let mut i = 0;
         while i < bytes.len() {
+            let from = i;
+            let mut literal = matches!(state, State::Str | State::RawStr(_));
             match state {
                 State::Code => {
                     let rest = &line[i..];
@@ -145,15 +158,18 @@ fn strip(text: &str) -> Vec<String> {
                         i += 2;
                     } else if rest.starts_with('"') {
                         state = State::Str;
+                        literal = true;
                         i += 1;
                     } else if let Some((h, open_len)) = raw_string_open(rest) {
                         state = State::RawStr(h);
+                        literal = true;
                         i += open_len; // br##" etc.
                     } else if rest.starts_with('\'') {
                         // Char literal or lifetime: a closing quote within
                         // a few bytes means a literal; otherwise keep it
                         // (lifetime) and move on.
                         if let Some(len) = char_literal_len(rest) {
+                            literal = true;
                             i += len;
                         } else {
                             kept[i] = bytes[i];
@@ -198,6 +214,9 @@ fn strip(text: &str) -> Vec<String> {
                         i += char_len(line, i);
                     }
                 }
+            }
+            if keep_literals && literal {
+                kept[from..i].copy_from_slice(&bytes[from..i]);
             }
         }
         // Strings continue across lines; everything else resets at EOL.
