@@ -15,8 +15,6 @@
 // workspace is quasim's (future) SIMD kernel layer.
 #![forbid(unsafe_code)]
 
-pub mod perf;
-
 use calibration::history::{FluctuatingHistory, HistoryConfig};
 use calibration::topology::Topology;
 use qnn::data::Dataset;
@@ -39,27 +37,37 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Resolves the scale from `--scale=` args or `QUCAD_SCALE`, defaulting
-    /// to [`Scale::Standard`].
+    /// Resolves the scale from the first `--scale=` arg, else
+    /// `QUCAD_SCALE`, defaulting to [`Scale::Standard`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chosen value is not `quick`, `standard` or `paper`,
+    /// so a typo fails loudly instead of silently running the
+    /// minutes-long default.
     pub fn from_env_or_args() -> Scale {
-        let from_str = |s: &str| match s.to_ascii_lowercase().as_str() {
-            "quick" => Some(Scale::Quick),
-            "standard" => Some(Scale::Standard),
-            "paper" => Some(Scale::Paper),
-            _ => None,
-        };
-        for arg in std::env::args() {
-            if let Some(v) = arg.strip_prefix("--scale=") {
-                if let Some(s) = from_str(v) {
-                    return s;
-                }
-            }
-        }
+        let arg = std::env::args().find_map(|a| a.strip_prefix("--scale=").map(str::to_string));
         // qucad-lint: allow(env-read) — audited entry point: experiment scale selection
-        std::env::var("QUCAD_SCALE")
-            .ok()
-            .and_then(|v| from_str(&v))
-            .unwrap_or(Scale::Standard)
+        let env = std::env::var("QUCAD_SCALE").ok();
+        Scale::from_values(arg.as_deref(), env.as_deref())
+    }
+
+    /// Pure resolution core of [`Scale::from_env_or_args`] (`arg` is the
+    /// `--scale=` value, `env` the raw `QUCAD_SCALE` when set): kept
+    /// side-effect-free so the panic contract can be tested without racing
+    /// on process-global environment state.
+    fn from_values(arg: Option<&str>, env: Option<&str>) -> Scale {
+        let (source, value) = match (arg, env) {
+            (Some(v), _) => ("--scale", v),
+            (None, Some(v)) => ("QUCAD_SCALE", v),
+            (None, None) => return Scale::Standard,
+        };
+        match value.trim().to_ascii_lowercase().as_str() {
+            "quick" => Scale::Quick,
+            "standard" => Scale::Standard,
+            "paper" => Scale::Paper,
+            _ => panic!("{source} must be quick|standard|paper, got '{value}'"),
+        }
     }
 
     /// Number of offline / online days for this scale.
@@ -323,4 +331,34 @@ pub fn banner(title: &str, scale: Scale) {
          paper = 243 offline + 146 online days)"
     );
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Scale;
+
+    #[test]
+    fn scale_value_resolution() {
+        // The argument wins over the variable, names are case-blind...
+        assert_eq!(
+            Scale::from_values(Some("quick"), Some("paper")),
+            Scale::Quick
+        );
+        assert_eq!(Scale::from_values(None, Some(" Paper ")), Scale::Paper);
+        assert_eq!(Scale::from_values(Some("STANDARD"), None), Scale::Standard);
+        // ...and with neither set the default is Standard.
+        assert_eq!(Scale::from_values(None, None), Scale::Standard);
+    }
+
+    #[test]
+    #[should_panic(expected = "--scale must be quick|standard|paper, got 'qiuck'")]
+    fn scale_rejects_mistyped_arg() {
+        let _ = Scale::from_values(Some("qiuck"), Some("quick"));
+    }
+
+    #[test]
+    #[should_panic(expected = "QUCAD_SCALE must be quick|standard|paper, got ''")]
+    fn scale_rejects_empty_variable() {
+        let _ = Scale::from_values(None, Some(""));
+    }
 }

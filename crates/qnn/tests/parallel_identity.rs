@@ -86,6 +86,8 @@ fn day_fanout_matches_per_day_batches() {
 
     let fanned = accuracy_over_days(&exec, &days, &data.test, &weights, 4);
     let fanned_seq = accuracy_over_days(&exec, &days, &data.test, &weights, 1);
+    assert_eq!(fanned.len(), days.len(), "one accuracy per day");
+    assert!(fanned.iter().all(|a| (0.0..=1.0).contains(a)));
     let per_day: Vec<f64> = (0..days.len())
         .map(|d| batch_accuracy(&exec, &data.test, &weights, days[d], d as u64, 2))
         .collect();

@@ -518,20 +518,10 @@ pub const PANEL_BYTES_BUDGET: usize = 8 << 20;
 /// below [`MIN_AUTO_PANEL_WIDTH`] — registers of 18+ qubits stream the
 /// panel through cache either way, and starving them of columns used to
 /// silently degenerate the panel engine to per-trajectory execution
-/// (width 1 at ≥ 20 qubits). Use [`auto_panel_width_is_clamped`] to
-/// detect the clamped regime (the perf harness reports it).
+/// (width 1 at ≥ 20 qubits).
 pub fn auto_panel_width(n_qubits: usize) -> usize {
     let bytes_per_column = (2 * std::mem::size_of::<f64>()) << n_qubits;
     (PANEL_BYTES_BUDGET / bytes_per_column).clamp(MIN_AUTO_PANEL_WIDTH, 16)
-}
-
-/// Whether [`auto_panel_width`] was held at the [`MIN_AUTO_PANEL_WIDTH`]
-/// floor for this register (the streaming budget alone would have chosen
-/// fewer columns). Diagnostic only — the width stays a pure performance
-/// knob either way.
-pub fn auto_panel_width_is_clamped(n_qubits: usize) -> bool {
-    let bytes_per_column = (2 * std::mem::size_of::<f64>()) << n_qubits;
-    PANEL_BYTES_BUDGET / bytes_per_column < MIN_AUTO_PANEL_WIDTH
 }
 
 /// Resolves the panel width for a run: the `QUCAD_TRAJ_BATCH` environment
@@ -2345,11 +2335,6 @@ mod tests {
                 _ => MIN_AUTO_PANEL_WIDTH,
             };
             assert_eq!(auto_panel_width(n), expect, "auto width at {n} qubits");
-            assert_eq!(
-                auto_panel_width_is_clamped(n),
-                n >= 18,
-                "clamp detection at {n} qubits"
-            );
         }
         assert!(auto_panel_width(20) >= 4);
     }

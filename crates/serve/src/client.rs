@@ -1,5 +1,5 @@
-//! Blocking client for `qucad-serve` (used by the load generator, the
-//! integration tests, and the perf harness).
+//! Blocking client for `qucad-serve` (used by the load generator and the
+//! integration tests).
 
 use std::collections::HashMap;
 use std::io;

@@ -6,6 +6,10 @@
 //!   rule catalogue in [`rules`] and the "Correctness tooling" section of
 //!   the README.
 //! - `loc`: first-party code lines per crate and in total (see [`loc`]).
+//! - `bench-pair <base-rev>`: the paired perf gate — the benchmark of
+//!   `BENCHMARK.json` run in alternation on `<base-rev>` and on the
+//!   working tree, failing on a worse median, a failed run or a higher
+//!   failed share (see [`bench_pair`]).
 //!
 //! Audited exceptions are annotated in the source with
 //! `// qucad-lint: allow(<rule>)` on the offending line or the line
@@ -15,21 +19,26 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+mod bench_pair;
+mod json;
 mod loc;
 mod rules;
 mod scan;
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("lint") => lint(),
-        Some("loc") => loc(),
-        Some(other) => {
-            eprintln!("unknown task '{other}'; available tasks: lint, loc");
-            ExitCode::FAILURE
-        }
-        None => {
-            eprintln!("usage: cargo run -p xtask -- <lint|loc>");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        ["lint"] => lint(),
+        ["loc"] => loc(),
+        ["bench-pair", base] => match bench_pair::run(&workspace_root(), base) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("bench-pair: {e}");
+                ExitCode::FAILURE
+            }
+        },
+        _ => {
+            eprintln!("usage: cargo run -p xtask -- <lint | loc | bench-pair <base-rev>>");
             ExitCode::FAILURE
         }
     }
