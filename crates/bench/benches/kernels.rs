@@ -84,7 +84,7 @@ fn bench_density(c: &mut Criterion) {
         let snap = CalibrationSnapshot::uniform(&topo, 0, 3e-4, 1e-2, 0.02);
         let weights = model.init_weights(1);
         let features = vec![0.5; 16];
-        b.iter(|| exec.z_scores(black_box(&features), &weights, &snap));
+        b.iter(|| exec.z_scores_seeded(black_box(&features), &weights, &snap, 0));
     });
     g.bench_function("noisy_eval_mnist_model_belem_unfused", |b| {
         // The op-by-op differential-testing reference, for comparison with

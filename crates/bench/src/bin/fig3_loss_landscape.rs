@@ -49,7 +49,7 @@ fn main() {
         weights[0] = w0;
         weights[2] = w2;
         let zp = pure_z_scores(&model, &features, &weights);
-        let zn = exec.z_scores(&features, &weights, &snap);
+        let zn = exec.z_scores_seeded(&features, &weights, &snap, 0);
         // Relative deviation: the fraction of the ideal signal the noise
         // destroys (absolute deviation would scale with the signal itself).
         let num: f64 = zp.iter().zip(zn.iter()).map(|(a, b)| (a - b).abs()).sum();

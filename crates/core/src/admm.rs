@@ -298,8 +298,9 @@ mod tests {
     use super::*;
     use calibration::topology::Topology;
     use qnn::data::Dataset;
+    use qnn::executor::parallel::batch_accuracy;
     use qnn::executor::NoiseOptions;
-    use qnn::train::{evaluate, TrainConfig};
+    use qnn::train::TrainConfig;
 
     fn quick_cfg() -> AdmmConfig {
         AdmmConfig {
@@ -413,16 +414,11 @@ mod tests {
             &cfg,
             &base.weights,
         );
-        // Average over several shot-noise draws for a stable comparison.
+        // Average over five distinct shot-noise streams for a stable
+        // comparison.
         let mean_acc = |w: &[f64]| -> f64 {
             (0..5)
-                .map(|_| {
-                    let env = Env::Noisy {
-                        exec: &exec,
-                        snapshot: &heavy,
-                    };
-                    evaluate(&model, env, &data.test, w)
-                })
+                .map(|k| batch_accuracy(&exec, &data.test, w, &heavy, k, worker_threads()))
                 .sum::<f64>()
                 / 5.0
         };

@@ -37,7 +37,7 @@
 //! per-executor via [`NoiseOptions::backend`]):
 //!
 //! - [`SimBackend::Density`] (default): exact dense density-matrix
-//!   simulation. Each call compiles the expanded circuit plus its noise
+//!   simulation. Each probe compiles the expanded circuit plus its noise
 //!   interleave with [`transpile::fuse`] — prebound matrices, same-support
 //!   runs collapsed into single passes — and runs it on a per-executor
 //!   reusable [`SimWorkspace`], so the simulation itself performs no
@@ -342,7 +342,7 @@ impl ProgramCache {
     }
 }
 
-/// Shared, thread-safe handle to a [`ProgramCache`]: the unit of warm
+/// Shared, thread-safe handle to a `ProgramCache`: the unit of warm
 /// state the serving path owns. Cloning the handle shares the cache (and
 /// its hit/miss counters); [`NoisyExecutor`] clones therefore share one
 /// cache rather than each inheriting a private warm copy, so aggregate
@@ -452,7 +452,7 @@ impl ProgramCacheHandle {
 /// let topo = Topology::ibm_belem();
 /// let exec = NoisyExecutor::new(&model, &topo, NoiseOptions::default());
 /// let snap = CalibrationSnapshot::uniform(&topo, 0, 2e-4, 1e-2, 0.02);
-/// let z = exec.z_scores(&[0.1; 4], &vec![0.3; model.n_weights()], &snap);
+/// let z = exec.z_scores_seeded(&[0.1; 4], &vec![0.3; model.n_weights()], &snap, 0);
 /// assert_eq!(z.len(), 2);
 /// ```
 #[derive(Debug, Clone)]
@@ -461,7 +461,6 @@ pub struct NoisyExecutor {
     topology: Topology,
     phys: PhysicalCircuit,
     options: NoiseOptions,
-    shot_rng: std::cell::RefCell<rand::rngs::StdRng>,
     /// Reusable density-matrix storage: one allocation per executor clone
     /// (i.e. per worker thread), reused across every evaluation it runs.
     workspace: std::cell::RefCell<SimWorkspace>,
@@ -502,14 +501,12 @@ impl NoisyExecutor {
         options: NoiseOptions,
         cache: ProgramCacheHandle,
     ) -> Self {
-        use rand::SeedableRng;
         let phys = route(model.circuit(), topology, None);
         NoisyExecutor {
             model: model.clone(),
             topology: topology.clone(),
             phys,
             options,
-            shot_rng: std::cell::RefCell::new(rand::rngs::StdRng::seed_from_u64(options.shot_seed)),
             workspace: std::cell::RefCell::new(SimWorkspace::new()),
             traj_panel: std::cell::RefCell::new(TrajectoryPanel::new()),
             cache,
@@ -538,51 +535,19 @@ impl NoisyExecutor {
         &self.model
     }
 
-    /// Noisy per-class `⟨Z⟩` scores under a calibration snapshot.
+    /// Noisy per-class `⟨Z⟩` scores under a calibration snapshot, with shot
+    /// and trajectory noise drawn from a private stream identified by
+    /// `stream`: a one-probe [`Self::evaluate_probes`] batch.
     ///
     /// The circuit is *re-transpiled at the bound parameters*: gates at
     /// identity angles are dropped before routing, so compressed parameters
     /// also eliminate the SWAPs routing would have inserted for them — the
     /// full physical-length saving the paper exploits.
     ///
-    /// Shot noise (when [`NoiseOptions::shots`] is set) draws from a stream
-    /// shared across calls, so two calls with identical inputs return
-    /// different samples. For an order-independent evaluation (required by
-    /// the batch-parallel paths in [`parallel`]) use [`Self::z_scores_seeded`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths do not match the model or the snapshot does
-    /// not describe this executor's topology.
-    pub fn z_scores(
-        &self,
-        features: &[f64],
-        weights: &[f64],
-        snapshot: &CalibrationSnapshot,
-    ) -> Vec<f64> {
-        let mut rng = self.shot_rng.borrow_mut();
-        // The trajectory path needs its own seed; draw it from the shared
-        // stream only when that backend is active so density-backend bits
-        // are unchanged.
-        let traj_seed = match self.options.backend {
-            SimBackend::Trajectory => {
-                use rand::Rng;
-                rng.gen::<u64>()
-            }
-            SimBackend::Density => 0,
-        };
-        self.z_scores_impl(features, weights, snapshot, &mut rng, traj_seed)
-    }
-
-    /// [`Self::z_scores`] with shot noise drawn from a private stream
-    /// identified by `stream`.
-    ///
     /// Calls with the same inputs and the same `stream` return bit-identical
     /// results regardless of call order, interleaving, or which thread runs
-    /// them — the property the scoped-thread evaluators in [`parallel`] rely
-    /// on for sequential/parallel equivalence. The stream is derived from
-    /// both [`NoiseOptions::shot_seed`] and `stream`, so distinct executors
-    /// keep distinct noise.
+    /// them. The stream is derived from both [`NoiseOptions::shot_seed`] and
+    /// `stream`, so distinct executors keep distinct noise.
     ///
     /// # Panics
     ///
@@ -595,15 +560,9 @@ impl NoisyExecutor {
         snapshot: &CalibrationSnapshot,
         stream: u64,
     ) -> Vec<f64> {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(mix_stream(self.options.shot_seed, stream));
-        self.z_scores_impl(
-            features,
-            weights,
-            snapshot,
-            &mut rng,
-            self.traj_seed(stream),
-        )
+        let mut batch = ProbeBatch::with_capacity(1);
+        batch.push(features, weights, stream);
+        self.evaluate_probes(snapshot, &batch, 1).remove(0)
     }
 
     /// Seed of the trajectory stream for a seeded evaluation: a function of
@@ -748,7 +707,7 @@ impl NoisyExecutor {
             .collect()
     }
 
-    /// Shared per-evaluation compilation for both backends: fetch the
+    /// One evaluation's compilation on this executor's backend: fetch the
     /// bound parameters' structure from the program cache (simplify +
     /// route run once per structure), re-bind the gate matrices at the
     /// sample's angles, and fuse the native circuit plus the day's noise
@@ -803,97 +762,13 @@ impl NoisyExecutor {
 
     /// The measured qubits as compact register indices, in
     /// [`VqcModel::measured_logical`] order — the single mapping behind
-    /// [`Self::compile_program`] and the trajectory runner.
+    /// [`Self::compile_program`] and both trajectory arms.
     fn measured_compact(&self, native: &NativeCircuit, compaction: &QubitCompaction) -> Vec<usize> {
         self.model
             .measured_logical()
             .iter()
             .map(|&l| compaction.compact(native.measured_physical(l)))
             .collect()
-    }
-
-    /// Runs the trajectory batch for a compiled program over the measured
-    /// qubits (compact register indices, [`VqcModel::measured_logical`]
-    /// order) — the single implementation behind both the trajectory arm
-    /// of the z-score paths and [`Self::trajectory_estimate`], so the two
-    /// can never drift apart.
-    ///
-    /// Executes on the batched [`TrajectoryPanel`] engine at the width
-    /// resolved by [`panel_width_from_env`] (`QUCAD_TRAJ_BATCH` override,
-    /// auto otherwise); results are bit-identical to the per-trajectory
-    /// engine for every width.
-    fn run_trajectories(
-        &self,
-        native: &NativeCircuit,
-        compaction: &QubitCompaction,
-        program: &FusedProgram,
-        traj_seed: u64,
-    ) -> TrajectoryEstimate {
-        let measured = self.measured_compact(native, compaction);
-        let width = panel_width_from_env(program.n_qubits(), self.options.trajectories);
-        let mut panel = self.traj_panel.borrow_mut();
-        estimate_prob_one_panel(
-            &mut panel,
-            program,
-            &measured,
-            self.options.trajectories,
-            traj_seed,
-            width,
-        )
-    }
-
-    fn z_scores_impl(
-        &self,
-        features: &[f64],
-        weights: &[f64],
-        snapshot: &CalibrationSnapshot,
-        shot_rng: &mut rand::rngs::StdRng,
-        traj_seed: u64,
-    ) -> Vec<f64> {
-        // Both backends execute the same compiled program on their
-        // reusable per-executor workspace — the whole simulation allocates
-        // nothing beyond the program itself.
-        let (native, entry, program) = self.compile(features, weights, snapshot);
-        self.run_compiled(
-            &native,
-            &entry.compaction,
-            &program,
-            snapshot,
-            shot_rng,
-            traj_seed,
-        )
-    }
-
-    /// Simulates one compiled program and post-processes the probabilities
-    /// into Z scores — the execution half of [`Self::z_scores_impl`],
-    /// shared with the probe-batch engine so the batched and sequential
-    /// paths can never drift apart.
-    fn run_compiled(
-        &self,
-        native: &NativeCircuit,
-        compaction: &QubitCompaction,
-        program: &FusedProgram,
-        snapshot: &CalibrationSnapshot,
-        shot_rng: &mut rand::rngs::StdRng,
-        traj_seed: u64,
-    ) -> Vec<f64> {
-        match self.options.backend {
-            SimBackend::Density => {
-                assert_density_fits(compaction);
-                let mut ws = self.workspace.borrow_mut();
-                ws.reset_zero(compaction.n_active());
-                ws.run(program);
-                self.scores_from_probs(native, snapshot, shot_rng, |q| {
-                    ws.prob_one(compaction.compact(q))
-                })
-            }
-            SimBackend::Trajectory => {
-                let est = self.run_trajectories(native, compaction, program, traj_seed);
-                self.scores_from_probs(native, snapshot, shot_rng, |q| {
-                    est.p_one_of(compaction.compact(q))
-                })
-            }
-        }
     }
 
     /// The trajectory backend's raw estimate for a seeded evaluation:
@@ -917,8 +792,15 @@ impl NoisyExecutor {
         stream: u64,
     ) -> TrajectoryEstimate {
         let (native, entry, program) = self.compile(features, weights, snapshot);
-        let mut est =
-            self.run_trajectories(&native, &entry.compaction, &program, self.traj_seed(stream));
+        let measured = self.measured_compact(&native, &entry.compaction);
+        let mut est = estimate_prob_one_panel(
+            &mut self.traj_panel.borrow_mut(),
+            &program,
+            &measured,
+            self.options.trajectories,
+            self.traj_seed(stream),
+            panel_width_from_env(program.n_qubits(), self.options.trajectories),
+        );
         // Report physical qubit ids to the caller.
         est.qubits = self
             .model
@@ -999,9 +881,9 @@ impl NoisyExecutor {
     /// [`Self::z_scores_seeded`]`(probes[i].features, probes[i].weights,
     /// snapshot, probes[i].stream)` exactly — for either backend, any
     /// `threads`, any lane or panel width, and any cache warmth. The
-    /// training loops in [`crate::train`] rely on this to stay
-    /// bit-identical to their retained sequential references (see the
-    /// `training_path` property tests).
+    /// training loops in [`crate::train`](mod@crate::train) rely on this
+    /// to stay bit-identical to their retained sequential references (see
+    /// the `training_path` property tests).
     ///
     /// # Panics
     ///
@@ -1382,7 +1264,11 @@ pub mod parallel {
     //! its day) for [`NoisyExecutor::evaluate_probes_over_days`]. An
     //! evaluation therefore gets what every probe batch gets: one cache
     //! lookup per structure group, and same-shape programs run as the
-    //! lanes of one density panel.
+    //! lanes of one density panel. [`crate::train::evaluate`] and
+    //! [`crate::train::batch_loss`] under [`crate::train::Env::Noisy`] are
+    //! the same batches (`day_stream = snapshot.day`), and
+    //! [`NoisyExecutor::z_scores_seeded`] is a batch of one, so every noisy
+    //! evaluation in this crate is a probe batch on positional streams.
     //!
     //! Every fan-out in this crate — the probe engine behind
     //! [`NoisyExecutor::evaluate_probes`] and the noise-free gradient sweeps
@@ -1611,7 +1497,7 @@ mod tests {
         let snap = CalibrationSnapshot::uniform(&topo, 0, 0.0, 0.0, 0.0);
         let weights = model.init_weights(3);
         let features = [0.2, 0.7, 1.1, 2.0];
-        let z_noisy = exec.z_scores(&features, &weights, &snap);
+        let z_noisy = exec.z_scores_seeded(&features, &weights, &snap, 0);
         let z_pure = pure_z_scores(&model, &features, &weights);
         for (a, b) in z_noisy.iter().zip(z_pure.iter()) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
@@ -1625,8 +1511,8 @@ mod tests {
         let features = [0.5, 1.0, 1.5, 2.0];
         let clean = CalibrationSnapshot::uniform(&topo, 0, 0.0, 0.0, 0.0);
         let noisy = CalibrationSnapshot::uniform(&topo, 0, 5e-3, 5e-2, 0.05);
-        let z0 = exec.z_scores(&features, &weights, &clean);
-        let z1 = exec.z_scores(&features, &weights, &noisy);
+        let z0 = exec.z_scores_seeded(&features, &weights, &clean, 0);
+        let z1 = exec.z_scores_seeded(&features, &weights, &noisy, 0);
         let m0: f64 = z0.iter().map(|z| z.abs()).sum();
         let m1: f64 = z1.iter().map(|z| z.abs()).sum();
         assert!(m1 < m0, "noise should contract signals: {m1} !< {m0}");
@@ -1644,8 +1530,8 @@ mod tests {
         let generic = vec![0.9; model.n_weights()];
         let compressed = vec![0.0; model.n_weights()];
         let dev = |z: &[f64]| -> f64 { z.iter().map(|v| (v - 1.0).abs()).sum() };
-        let z_cmp = exec.z_scores(&features, &compressed, &snap);
-        let z_gen = exec.z_scores(&features, &generic, &snap);
+        let z_cmp = exec.z_scores_seeded(&features, &compressed, &snap, 0);
+        let z_gen = exec.z_scores_seeded(&features, &generic, &snap, 0);
         assert!(
             dev(&z_cmp) < dev(&z_gen),
             "compressed {z_cmp:?} should deviate less than generic {z_gen:?}"
@@ -1664,7 +1550,7 @@ mod tests {
             *r = quasim::noise::ReadoutError::new(0.5, 0.5);
         }
         let weights = vec![0.0; model.n_weights()];
-        let z = exec.z_scores(&[0.0; 4], &weights, &snap);
+        let z = exec.z_scores_seeded(&[0.0; 4], &weights, &snap, 0);
         // Fully random readout → z = 0.
         for v in z {
             assert!(v.abs() < 1e-9);
@@ -2140,6 +2026,6 @@ mod tests {
         let (model, _, exec) = setup();
         let other = Topology::ibm_jakarta();
         let snap = CalibrationSnapshot::uniform(&other, 0, 0.0, 0.0, 0.0);
-        let _ = exec.z_scores(&[0.0; 4], &vec![0.0; model.n_weights()], &snap);
+        let _ = exec.z_scores_seeded(&[0.0; 4], &vec![0.0; model.n_weights()], &snap, 0);
     }
 }

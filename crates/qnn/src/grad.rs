@@ -67,7 +67,7 @@ pub fn param_shift_gradient<F: Fn(&[f64]) -> f64>(f: &F, theta: &[f64]) -> Vec<f
 /// `|w| objective(&exec.z_scores_seeded(features, w, snapshot, stream))`,
 /// but instead of `2·P` opaque executor round-trips it builds all `2·P`
 /// shifted weight vectors up front and routes them through
-/// [`NoisyExecutor::evaluate_probes`], which groups probes by circuit
+/// [`crate::executor::NoisyExecutor::evaluate_probes`], which groups probes by circuit
 /// structure (one route/simplify per structure, bind-only per probe) and
 /// fans them across `threads` workers — or packs same-structure probes
 /// into shared trajectory panels on the trajectory backend.

@@ -10,7 +10,7 @@
 //!   earthquake detection (substitutions documented in DESIGN.md §4);
 //! - [`executor`]: noise-free (`Wp`) and calibration-driven noisy (`Wn`)
 //!   evaluation back-ends;
-//! - [`grad`], [`optim`], [`train`]: finite-difference / parameter-shift
+//! - [`grad`], [`optim`], [`train`](mod@train): finite-difference / parameter-shift
 //!   gradients, Adam, and the noise-injection training loop of
 //!   QuantumNAT \[12].
 //!

@@ -42,7 +42,7 @@
 //! enforces the contract property-style.
 
 use crate::data::Sample;
-use crate::executor::parallel::{eval_stream, probe_stream, worker_threads};
+use crate::executor::parallel::{batch_z_scores, eval_stream, probe_stream, worker_threads};
 use crate::executor::{pure_z_scores, NoisyExecutor, ProbeBatch};
 use crate::loss::{accuracy, cross_entropy, mean_cross_entropy, predict};
 use crate::model::VqcModel;
@@ -58,23 +58,16 @@ use rand::{Rng, SeedableRng};
 pub enum Env<'a> {
     /// Noise-free state-vector execution (`Wp`).
     Pure,
-    /// Noisy density-matrix execution under a calibration snapshot (`Wn`).
+    /// Noisy execution under a calibration snapshot (`Wn`) on the
+    /// executor's backend, density matrix or trajectories. Every noise
+    /// stream is positional: [`evaluate`] and [`batch_loss`] run sample
+    /// `i` on [`eval_stream`]`(snapshot.day, i)`.
     Noisy {
         /// The routed executor.
         exec: &'a NoisyExecutor,
         /// The day's calibration data.
         snapshot: &'a CalibrationSnapshot,
     },
-}
-
-impl Env<'_> {
-    /// Per-class Z scores of one sample.
-    pub fn z_scores(&self, model: &VqcModel, features: &[f64], weights: &[f64]) -> Vec<f64> {
-        match self {
-            Env::Pure => pure_z_scores(model, features, weights),
-            Env::Noisy { exec, snapshot } => exec.z_scores(features, weights, snapshot),
-        }
-    }
 }
 
 /// Hyper-parameters of a training run.
@@ -116,28 +109,61 @@ pub struct TrainResult {
     pub n_evals: u64,
 }
 
-/// Mean cross-entropy of a batch.
+/// Mean cross-entropy of a batch. Under [`Env::Noisy`] the batch is one
+/// [`ProbeBatch`] (sample `i` on stream [`eval_stream`]`(snapshot.day, i)`)
+/// on [`worker_threads`] workers, so the loss is a function of its inputs
+/// alone.
 pub fn batch_loss(model: &VqcModel, env: Env<'_>, batch: &[&Sample], weights: &[f64]) -> f64 {
     assert!(!batch.is_empty(), "empty batch");
-    let scores: Vec<Vec<f64>> = batch
-        .iter()
-        .map(|s| env.z_scores(model, &s.features, weights))
-        .collect();
+    let scores: Vec<Vec<f64>> = match env {
+        Env::Pure => batch
+            .iter()
+            .map(|s| pure_z_scores(model, &s.features, weights))
+            .collect(),
+        Env::Noisy { exec, snapshot } => {
+            let mut probes = ProbeBatch::with_capacity(batch.len());
+            for (i, s) in batch.iter().enumerate() {
+                probes.push(
+                    &s.features,
+                    weights,
+                    eval_stream(snapshot.day as u64, i as u64),
+                );
+            }
+            exec.evaluate_probes(snapshot, &probes, worker_threads())
+        }
+    };
     let labels: Vec<usize> = batch.iter().map(|s| s.label).collect();
     mean_cross_entropy(&scores, &labels)
 }
 
-/// Classification accuracy of `weights` on `samples` in `env`.
+/// Classification accuracy of `weights` on `samples` in `env`. Under
+/// [`Env::Noisy`] the scores come from [`batch_z_scores`] with `day_stream
+/// = snapshot.day` on [`worker_threads`] workers, so the result equals
+/// [`crate::executor::parallel::batch_accuracy`] on that stream.
 ///
 /// # Panics
 ///
 /// Panics if `samples` is empty.
 pub fn evaluate(model: &VqcModel, env: Env<'_>, samples: &[Sample], weights: &[f64]) -> f64 {
     assert!(!samples.is_empty(), "empty evaluation set");
-    let preds: Vec<usize> = samples
-        .iter()
-        .map(|s| predict(&env.z_scores(model, &s.features, weights)))
-        .collect();
+    let scores: Vec<Vec<f64>> = match env {
+        Env::Pure => samples
+            .iter()
+            .map(|s| pure_z_scores(model, &s.features, weights))
+            .collect(),
+        Env::Noisy { exec, snapshot } => {
+            let day_stream = snapshot.day as u64;
+            batch_z_scores(
+                exec,
+                samples,
+                weights,
+                snapshot,
+                day_stream,
+                worker_threads(),
+            )
+        }
+    };
+    let preds: Vec<usize> = scores.iter().map(|z| predict(z)).collect();
     let labels: Vec<usize> = samples.iter().map(|s| s.label).collect();
     accuracy(&preds, &labels)
 }

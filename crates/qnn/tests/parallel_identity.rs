@@ -5,10 +5,12 @@
 use calibration::history::{FluctuatingHistory, HistoryConfig};
 use calibration::snapshot::CalibrationSnapshot;
 use calibration::topology::Topology;
-use qnn::data::Dataset;
+use qnn::data::{Dataset, Sample};
 use qnn::executor::parallel::{accuracy_over_days, batch_accuracy, batch_z_scores, eval_stream};
 use qnn::executor::{NoiseOptions, NoisyExecutor, SimBackend};
+use qnn::loss::mean_cross_entropy;
 use qnn::model::VqcModel;
+use qnn::train::{batch_loss, evaluate, Env};
 
 fn setup() -> (
     VqcModel,
@@ -108,15 +110,46 @@ fn seeded_scores_are_call_order_independent() {
     let weights = model.init_weights(2);
     let f = &data.test[0].features;
     let first = exec.z_scores_seeded(f, &weights, &snap, 99);
-    // Interleave unrelated draws on other streams and on the shared stream.
+    // Interleave unrelated draws on other streams.
     let _ = exec.z_scores_seeded(f, &weights, &snap, 7);
-    let _ = exec.z_scores(f, &weights, &snap);
     let again = exec.z_scores_seeded(f, &weights, &snap, 99);
     assert_bits_eq(
         &[first],
         &[again],
         "same stream must reproduce identical scores",
     );
+
+    // The noisy training environment draws its shots positionally too:
+    // sample `i` on stream `eval_stream(snap.day, i)`.
+    let env = Env::Noisy {
+        exec: &exec,
+        snapshot: &snap,
+    };
+    let batch: Vec<&Sample> = data.test.iter().collect();
+    let labels: Vec<usize> = data.test.iter().map(|s| s.label).collect();
+    let loss = batch_loss(&model, env, &batch, &weights);
+    let _ = exec.z_scores_seeded(f, &weights, &snap, 7);
+    let loss_again = batch_loss(&model, env, &batch, &weights);
+    assert_eq!(
+        loss.to_bits(),
+        loss_again.to_bits(),
+        "noisy batch loss must not depend on call order"
+    );
+    let acc = evaluate(&model, env, &data.test, &weights);
+    let day = snap.day as u64;
+    for threads in [1, 2, 4] {
+        let scores = batch_z_scores(&exec, &data.test, &weights, &snap, day, threads);
+        assert_eq!(
+            loss.to_bits(),
+            mean_cross_entropy(&scores, &labels).to_bits(),
+            "batch_loss vs batch_z_scores, threads={threads}"
+        );
+        assert_eq!(
+            acc.to_bits(),
+            batch_accuracy(&exec, &data.test, &weights, &snap, day, threads).to_bits(),
+            "evaluate vs batch_accuracy, threads={threads}"
+        );
+    }
 }
 
 #[test]

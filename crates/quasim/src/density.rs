@@ -6,7 +6,7 @@
 //! variance a shot-based simulator would add on top of the physical noise
 //! being studied.
 //!
-//! All mutation goes through the bit-twiddled block kernels in [`kernels`]:
+//! All mutation goes through the bit-twiddled block kernels in `kernels`:
 //! a one-qubit op couples `ρ` entries only within `2×2` blocks (rows and
 //! columns paired along the qubit's bit) and a two-qubit op within `4×4`
 //! blocks, so every kernel loads a block once, transforms it in registers,

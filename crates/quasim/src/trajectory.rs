@@ -3,8 +3,9 @@
 //! The density-matrix engine in [`crate::density`] is exact but costs
 //! O(4^n) per operation, which caps it at [`crate::density::MAX_DENSITY_QUBITS`]
 //! qubits. This module trades exactness for reach: it *unravels* each noise
-//! channel into stochastic jumps on a pure [`StateVector`]-style register,
-//! so one **trajectory** costs O(2^n) per operation and the channel average
+//! channel into stochastic jumps on a pure
+//! [`StateVector`](crate::statevector::StateVector)-style register, so one
+//! **trajectory** costs O(2^n) per operation and the channel average
 //! is recovered by averaging many independently-seeded trajectories. That
 //! unlocks 14–16-qubit devices (e.g. `ibm_guadalupe`) that no dense `ρ`
 //! can touch.
@@ -55,7 +56,7 @@
 //! group's whole atom chain runs over each window before the next is
 //! loaded. A wire `q` has stride `2^q · B` elements; the walk finds the
 //! strips' sub-block starts by inserting a zero digit at each of the
-//! group's sorted strides, as [`insert_zero_bit`] does with bit masks. On
+//! group's sorted strides, as `insert_zero_bit` does with bit masks. On
 //! low wires the strips are shorter than a tile, so a window gathers
 //! `tile / s0` consecutive sub-blocks (`s0` the lowest stride) **by
 //! reference**: the chain is dispatched once per window, and each atom's
@@ -1667,7 +1668,8 @@ impl TrajectoryPanel {
 
 /// Batched counterpart of [`estimate_prob_one`]: averages `n_trajectories`
 /// seeded trajectories executed as [`TrajectoryPanel`] chunks of at most
-/// `panel_width` columns.
+/// `panel_width` columns — the one-seed call of
+/// [`estimate_prob_one_panel_multi`].
 ///
 /// **Bit-identical** to [`estimate_prob_one`] for every `(seed,
 /// n_trajectories)` and every `panel_width`: the jump uniforms are
@@ -1690,44 +1692,8 @@ pub fn estimate_prob_one_panel(
     seed: u64,
     panel_width: usize,
 ) -> TrajectoryEstimate {
-    assert!(n_trajectories > 0, "need at least one trajectory");
-    assert!(panel_width > 0, "panel width must be positive");
-    for &q in qubits {
-        assert!(q < program.n_qubits(), "qubit {q} out of range");
-    }
-    let n = if program.is_deterministic() {
-        1
-    } else {
-        n_trajectories
-    };
-    let n_stoch = program.n_stochastic_atoms();
-    let width = panel_width.min(MAX_PANEL_WIDTH);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sum = vec![0.0f64; qubits.len()];
-    let mut sum_sq = vec![0.0f64; qubits.len()];
-    let mut remaining = n as usize;
-    while remaining > 0 {
-        let b = width.min(remaining);
-        // Pre-draw this chunk's jump uniforms in trajectory-major order;
-        // the buffer lives on the panel so steady-state chunks allocate
-        // nothing.
-        let mut uniforms = std::mem::take(&mut panel.uniforms);
-        uniforms.clear();
-        uniforms.extend((0..b * n_stoch).map(|_| rng.gen::<f64>()));
-        panel.reset_zero(program.n_qubits(), b);
-        panel.run_stochastic(program, &uniforms);
-        panel.uniforms = uniforms;
-        let probs = panel.probs_one_all();
-        for c in 0..b {
-            for (i, &q) in qubits.iter().enumerate() {
-                let p = probs[q * b + c];
-                sum[i] += p;
-                sum_sq[i] += p * p;
-            }
-        }
-        remaining -= b;
-    }
-    finish_estimate(qubits, sum, sum_sq, n)
+    estimate_prob_one_panel_multi(panel, program, qubits, n_trajectories, &[seed], panel_width)
+        .remove(0)
 }
 
 /// Multi-probe counterpart of [`estimate_prob_one_panel`]: evaluates one
@@ -1744,7 +1710,7 @@ pub fn estimate_prob_one_panel(
 /// span probe boundaries, which fills the panel where per-probe chunking
 /// would run partial tail chunks.
 ///
-/// **Bit-identity**: element `p` of the result equals
+/// **Bit-identity**: element `p` of the result equals the one-seed call
 /// `estimate_prob_one_panel(panel, program, qubits, n_trajectories,
 /// seeds[p], panel_width)` exactly, for every width. Each probe's uniforms
 /// are drawn from its own `StdRng` in trajectory-major order (a column
@@ -1752,9 +1718,9 @@ pub fn estimate_prob_one_panel(
 /// each column's amplitude arithmetic is independent of its neighbours,
 /// and each probe's `P(1)` accumulation visits its trajectories in
 /// increasing trajectory order regardless of where chunk boundaries fall.
-/// Deterministic programs short-circuit to one exact pass shared by every
-/// probe — the single-probe entry never consumes a uniform there, so its
-/// result is seed-independent and the sharing is exact.
+/// A deterministic program runs one exact pass (one trajectory) shared by
+/// every probe: it consumes no uniform, so its result is seed-independent
+/// and the sharing is exact.
 ///
 /// # Panics
 ///
@@ -1775,25 +1741,21 @@ pub fn estimate_prob_one_panel_multi(
     if seeds.is_empty() {
         return Vec::new();
     }
-    if program.is_deterministic() {
-        let est = estimate_prob_one_panel(
-            panel,
-            program,
-            qubits,
-            n_trajectories,
-            seeds[0],
-            panel_width,
-        );
-        return vec![est; seeds.len()];
-    }
+    // A deterministic program consumes no uniform, so one exact pass
+    // (n = 1, run for the first seed) is every seed's result.
+    let (n_trajectories, streams) = if program.is_deterministic() {
+        (1, &seeds[..1])
+    } else {
+        (n_trajectories, seeds)
+    };
     let n = n_trajectories as usize;
     let n_stoch = program.n_stochastic_atoms();
     let width = panel_width.min(MAX_PANEL_WIDTH);
-    let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+    let mut rngs: Vec<StdRng> = streams.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
     let nq = qubits.len();
-    let mut sum = vec![0.0f64; seeds.len() * nq];
-    let mut sum_sq = vec![0.0f64; seeds.len() * nq];
-    let total = seeds.len() * n;
+    let mut sum = vec![0.0f64; streams.len() * nq];
+    let mut sum_sq = vec![0.0f64; streams.len() * nq];
+    let total = streams.len() * n;
     let mut owners: Vec<usize> = Vec::with_capacity(width);
     let mut start = 0usize;
     while start < total {
@@ -1824,6 +1786,8 @@ pub fn estimate_prob_one_panel_multi(
     }
     (0..seeds.len())
         .map(|p| {
+            // Every seed of a deterministic program reads the one pass.
+            let p = p.min(streams.len() - 1);
             finish_estimate(
                 qubits,
                 sum[p * nq..(p + 1) * nq].to_vec(),

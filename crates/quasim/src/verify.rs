@@ -24,7 +24,7 @@
 //! - every stochastic atom's `λ` is finite and in `(0, 1]`;
 //! - the panel supergroup plan covers all segments contiguously and every
 //!   group's union support fits its `(u, v, w)` wire basis: the
-//!   `k ≤ `[`SUPERGROUP_CAP`](crate::trajectory::SUPERGROUP_CAP) wires
+//!   `k ≤ `[`SUPERGROUP_CAP`] wires
 //!   whose `2^k` strips the panel's one window engine walks (wire `i` is
 //!   strip bit `k − 1 − i`), so every atom of the group addresses a strip
 //!   of the pass that runs it.
@@ -531,7 +531,7 @@ fn verify_lambda(atom: usize, lambda: f64) -> Result<(), VerifyError> {
 /// every member segment's support is contained in that basis.
 ///
 /// [`verify_program`] runs this on the re-derived
-/// [`supergroup_plan`](crate::trajectory::supergroup_plan); calling it
+/// [`supergroup_plan`]; calling it
 /// directly validates externally constructed plans.
 pub fn verify_supergroup_plan(
     program: &FusedProgram,
@@ -608,7 +608,7 @@ pub mod mutate {
     //! and returns the damaged program (or `None` when the program has no
     //! site for that class — e.g. no two-qubit segment to collide). The
     //! self-test in this crate and the release-mode `verify_sweep` binary
-    //! assert that [`verify_program`](super::verify_program) rejects every
+    //! assert that [`verify_program`] rejects every
     //! produced mutant — if a new invariant is added without a rejection
     //! path, the matching corruption class fails loudly.
 
@@ -715,7 +715,7 @@ pub mod mutate {
     /// `seed`; returns `None` when the program offers no site for the
     /// class. The returned program violates exactly the targeted
     /// invariant and must be rejected by
-    /// [`verify_program`](super::verify_program).
+    /// [`verify_program`].
     pub fn corrupt(program: &FusedProgram, class: Corruption, seed: u64) -> Option<FusedProgram> {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut p = program.clone();
@@ -895,7 +895,7 @@ pub mod mutate {
 
     /// One class of supergroup-plan corruption (exactly one plan invariant
     /// broken per class), targeting
-    /// [`verify_supergroup_plan`](super::verify_supergroup_plan) with
+    /// [`verify_supergroup_plan`] with
     /// externally damaged plans the way [`Corruption`] targets programs.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum PlanCorruption {

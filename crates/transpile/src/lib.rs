@@ -4,10 +4,10 @@
 //!
 //! - [`circuit`]: parameterised logical circuits ([`circuit::Circuit`])
 //!   whose rotation angles are trainable parameters or fixed constants;
-//! - [`route`]: deterministic greedy SWAP routing onto a restricted
+//! - [`route`](mod@route): deterministic greedy SWAP routing onto a restricted
 //!   [`calibration::topology::Topology`], pinning each gate to physical
 //!   qubits — the association `A(g_i)` the paper's noise-aware mask needs;
-//! - [`expand`]: native-gate expansion with pulse-cost accounting, which is
+//! - [`expand`](mod@expand): native-gate expansion with pulse-cost accounting, which is
 //!   where compression levels (`0, π/2, π, 3π/2`) translate into shorter,
 //!   less noisy physical circuits;
 //! - [`fuse`]: the gate-fusion pass compiling native circuits (plus their

@@ -5,7 +5,7 @@
 //!   determinism and unsafe-readiness rules over the source tree. See the
 //!   rule catalogue in [`rules`] and the "Correctness tooling" section of
 //!   the README.
-//! - `loc`: first-party code lines per crate and in total (see [`loc`]).
+//! - `loc`: first-party code lines per crate and in total (see [`loc`](mod@loc)).
 //! - `bench-pair <base-rev>`: the paired perf gate — the benchmark of
 //!   `BENCHMARK.json` run in alternation on `<base-rev>` and on the
 //!   working tree, failing on a worse median, a failed run or a higher

@@ -21,7 +21,7 @@ fn zero_noise_executor_matches_pure_for_all_paper_models() {
         let exec = NoisyExecutor::new(&model, &topo, NoiseOptions::default());
         let weights = model.init_weights(7);
         let features: Vec<f64> = (0..nf).map(|i| 0.1 + 0.15 * i as f64).collect();
-        let zn = exec.z_scores(&features, &weights, &zero);
+        let zn = exec.z_scores_seeded(&features, &weights, &zero, 0);
         let zp = pure_z_scores(&model, &features, &weights);
         for (a, b) in zn.iter().zip(zp.iter()) {
             assert!((a - b).abs() < 1e-8, "zero-noise mismatch: {a} vs {b}");
@@ -36,7 +36,7 @@ fn jakarta_models_run_end_to_end() {
     let model = VqcModel::paper_model(4, 2, 4, 2);
     let exec = NoisyExecutor::new(&model, &topo, NoiseOptions::default());
     let snap = CalibrationSnapshot::uniform(&topo, 0, 3e-4, 1e-2, 0.02);
-    let z = exec.z_scores(&[0.3, 0.9, 1.4, 2.2], &model.init_weights(1), &snap);
+    let z = exec.z_scores_seeded(&[0.3, 0.9, 1.4, 2.2], &model.init_weights(1), &snap, 0);
     assert_eq!(z.len(), 2);
     assert!(z.iter().all(|v| v.is_finite() && v.abs() <= 1.0 + 1e-9));
 }
@@ -74,16 +74,17 @@ fn shot_noise_perturbs_but_preserves_scale() {
     let features = [0.5, 1.0, 1.5, 2.0];
 
     let exact = NoisyExecutor::new(&model, &topo, NoiseOptions::default());
-    let z_exact = exact.z_scores(&features, &weights, &snap);
+    let z_exact = exact.z_scores_seeded(&features, &weights, &snap, 0);
 
     let shot = NoisyExecutor::new(&model, &topo, NoiseOptions::with_shots(1024, 5));
-    // Average many shot evaluations → converges to the exact value.
+    // Average many shot evaluations on distinct streams → converges to
+    // the exact value.
     let n = 200;
     let mut mean = vec![0.0; z_exact.len()];
-    for _ in 0..n {
+    for stream in 0..n {
         for (m, v) in mean
             .iter_mut()
-            .zip(shot.z_scores(&features, &weights, &snap))
+            .zip(shot.z_scores_seeded(&features, &weights, &snap, stream))
         {
             *m += v;
         }
