@@ -102,7 +102,8 @@ fn bench_density(c: &mut Criterion) {
 
 fn bench_fused(c: &mut Criterion) {
     use quasim::density::SimWorkspace;
-    use transpile::fuse::{fuse_native, SimOp};
+    use quasim::fused::LaneTables;
+    use transpile::fuse::{fuse_native, DensityTemplate, QubitCompaction, SimOp};
 
     let mut g = c.benchmark_group("fused");
     // A noisy CRY-ladder slice: the segment shapes the executor hot path
@@ -130,6 +131,21 @@ fn bench_fused(c: &mut Criterion) {
 
     g.bench_function("compile_native_to_program", |b| {
         b.iter(|| fuse_native(black_box(&native), noise));
+    });
+
+    // What a density probe pays instead once its structure is fused: its
+    // matrices and λs patched into one lane of the operand tables.
+    let template = DensityTemplate::build(
+        &phys,
+        &theta,
+        &QubitCompaction::identity(topo.n_qubits()),
+        noise,
+    );
+    let other: Vec<f64> = theta.iter().map(|t| t + 0.1).collect();
+    let mut tables = LaneTables::new();
+    tables.reset(template.program(), 4);
+    g.bench_function("patch_probe", |b| {
+        b.iter(|| template.patch(black_box(&other), noise, &mut tables, 1));
     });
 
     let program = fuse_native(&native, noise);

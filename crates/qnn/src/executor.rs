@@ -37,12 +37,15 @@
 //! per-executor via [`NoiseOptions::backend`]):
 //!
 //! - [`SimBackend::Density`] (default): exact dense density-matrix
-//!   simulation. Each probe compiles the expanded circuit plus its noise
-//!   interleave with [`transpile::fuse`] — prebound matrices, same-support
-//!   runs collapsed into single passes — and runs it on a per-executor
-//!   reusable [`SimWorkspace`], so the simulation itself performs no
-//!   per-gate allocation and each worker thread allocates density-matrix
-//!   storage once per run. Results are **bit-identical** to the op-by-op
+//!   simulation. Each structure's expanded circuit plus its noise
+//!   interleave is fused once with [`transpile::fuse`] — prebound
+//!   matrices, same-support runs collapsed into single passes — into a
+//!   [`DensityTemplate`] kept with the cached structure; every probe then
+//!   patches its own matrices and channel strengths into one lane of the
+//!   template's operand tables and runs on a per-executor reusable
+//!   [`SimWorkspace`], so the simulation itself performs no per-gate
+//!   allocation and each worker reuses its density-matrix storage across
+//!   the probes of a call. Results are **bit-identical** to the op-by-op
 //!   reference path ([`NoisyExecutor::z_scores_seeded_unfused`]), which is
 //!   retained as the differential-testing oracle. Capped at
 //!   [`quasim::density::MAX_DENSITY_QUBITS`] active qubits.
@@ -67,16 +70,18 @@ use crate::model::VqcModel;
 use calibration::snapshot::CalibrationSnapshot;
 use calibration::topology::Topology;
 use quasim::density::{DensityMatrix, SimWorkspace, MAX_DENSITY_QUBITS};
-use quasim::fused::FusedProgram;
+use quasim::fused::{FusedProgram, LaneTables};
 use quasim::statevector::StateVector;
 use quasim::trajectory::{
     estimate_prob_one_panel, estimate_prob_one_panel_multi, panel_width_from_env,
     TrajectoryEstimate, TrajectoryPanel,
 };
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use transpile::expand::{expand, NativeCircuit, NativeOp, ANGLE_TOL};
-use transpile::fuse::{fuse_native_compacted, fuse_native_trajectory, QubitCompaction};
+use transpile::fuse::{
+    fuse_native_compacted, fuse_native_trajectory, DensityTemplate, QubitCompaction,
+};
 use transpile::route::{route, PhysicalCircuit};
 use transpile::template::{structure_key, CircuitTemplate, StructureKey};
 
@@ -240,23 +245,40 @@ impl NoiseOptions {
     }
 }
 
-/// Hit/miss counters of a [`NoisyExecutor`]'s program cache (see
-/// [`NoisyExecutor::cache_stats`]).
+/// Counters of a [`NoisyExecutor`]'s program cache (see
+/// [`NoisyExecutor::cache_stats`]): structure lookups, and how the density
+/// probes got their programs.
+///
+/// All four are deterministic: lookups are counted per structure group,
+/// density templates are built on the calling thread, and a fallback fuse
+/// is counted per probe, so no count depends on `threads`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgramCacheStats {
     /// Evaluations served by re-binding a cached template.
     pub hits: u64,
     /// Evaluations that ran the full simplify → route pipeline.
     pub misses: u64,
+    /// Density programs fused from scratch by the probe engine: one per
+    /// [`DensityTemplate`] built, plus one per probe whose program does
+    /// not fit its structure's template.
+    pub fuses: u64,
+    /// Density probes run from their structure's template, patched
+    /// straight into lane operand tables.
+    pub patches: u64,
 }
 
 /// One cached circuit structure: the simplified+routed template plus the
 /// register compaction it induces (both are pure functions of the
-/// [`StructureKey`] for a fixed model and topology).
+/// [`StructureKey`] for a fixed model and topology), and the structure's
+/// fused density program once a density evaluation needs it.
 #[derive(Debug, Clone)]
 struct CachedStructure {
     template: CircuitTemplate,
     compaction: QubitCompaction,
+    /// Built on the calling thread from the first density probe that
+    /// meets the structure; patched per probe afterwards. Which probe built
+    /// it changes no bits: a probe that does not fit it is fused in full.
+    density: OnceLock<DensityTemplate>,
 }
 
 /// One resident cache entry plus the generation of its last touch, the
@@ -425,8 +447,14 @@ impl ProgramCacheHandle {
         cached
     }
 
-    /// Aggregate hit/miss counters across every executor sharing this
-    /// cache.
+    /// Adds one probe batch's density fuse and patch counts.
+    fn count_density(&self, fuses: u64, patches: u64) {
+        let mut cache = self.lock();
+        cache.stats.fuses += fuses;
+        cache.stats.patches += patches;
+    }
+
+    /// Aggregate counters across every executor sharing this cache.
     pub fn stats(&self) -> ProgramCacheStats {
         self.lock().stats
     }
@@ -464,6 +492,8 @@ pub struct NoisyExecutor {
     /// Reusable density-matrix storage: one allocation per executor clone
     /// (i.e. per worker thread), reused across every evaluation it runs.
     workspace: std::cell::RefCell<SimWorkspace>,
+    /// Reusable lane operand tables the density arm patches probes into.
+    lane_tables: std::cell::RefCell<LaneTables>,
     /// Reusable batched trajectory storage, the trajectory backend's
     /// counterpart of `workspace`: one panel allocation per executor
     /// clone, reused across every chunk of every evaluation.
@@ -508,6 +538,7 @@ impl NoisyExecutor {
             phys,
             options,
             workspace: std::cell::RefCell::new(SimWorkspace::new()),
+            lane_tables: std::cell::RefCell::new(LaneTables::new()),
             traj_panel: std::cell::RefCell::new(TrajectoryPanel::new()),
             cache,
         }
@@ -601,9 +632,8 @@ impl NoisyExecutor {
     /// The cached structure (template + compaction) of a parameter vector
     /// whose structure key is `key`: the group-level entry point of
     /// [`Self::evaluate_probes`], which fetches one structure per probe
-    /// *group* and re-binds it per probe through
-    /// [`CircuitTemplate::bind_batch`]. Counts one cache hit or miss per
-    /// call — i.e. per structure group, not per probe.
+    /// *group*. Counts one cache hit or miss per call — i.e. per structure
+    /// group, not per probe.
     fn structure_of(&self, key: StructureKey, full: &[f64]) -> Arc<CachedStructure> {
         if let Some(entry) = self.cache.lookup(&key) {
             // Rebind-boundary invariant check: the cached template's key
@@ -635,6 +665,7 @@ impl NoisyExecutor {
             CachedStructure {
                 template,
                 compaction,
+                density: OnceLock::new(),
             },
         )
     }
@@ -679,10 +710,11 @@ impl NoisyExecutor {
     }
 
     /// Readout + shot-noise post-processing from physical `P(1)` values to
-    /// per-class Z scores.
+    /// per-class Z scores; `layout` is the routed circuit's final layout
+    /// (`[logical] = physical`).
     fn scores_from_probs(
         &self,
-        native: &NativeCircuit,
+        layout: &[usize],
         snapshot: &CalibrationSnapshot,
         shot_rng: &mut rand::rngs::StdRng,
         prob_one: impl Fn(usize) -> f64,
@@ -691,7 +723,7 @@ impl NoisyExecutor {
             .measured_logical()
             .iter()
             .map(|&logical| {
-                let phys_q = native.measured_physical(logical);
+                let phys_q = layout[logical];
                 let mut p1 = prob_one(phys_q);
                 if self.options.readout {
                     p1 = snapshot.readout[phys_q].apply_to_prob_one(p1);
@@ -858,7 +890,7 @@ impl NoisyExecutor {
                 }
             }
         }
-        self.scores_from_probs(&native, snapshot, &mut rng, |q| {
+        self.scores_from_probs(native.final_layout(), snapshot, &mut rng, |q| {
             rho.prob_one(compaction.compact(q))
         })
     }
@@ -905,8 +937,7 @@ impl NoisyExecutor {
     /// vector and key are computed once; the key does not depend on the
     /// day); each group routes/simplifies **once** through the program
     /// cache ([`Self::cache_stats`] counts one hit or miss per group,
-    /// whatever `threads` is) and re-binds per probe via
-    /// [`CircuitTemplate::bind_batch`] (linear expansion only).
+    /// whatever `threads` is).
     ///
     /// The probes are then put in structure order — by group; within a
     /// group the probes on the same features next to each other (an SPSA
@@ -915,15 +946,20 @@ impl NoisyExecutor {
     /// contiguous chunks of that order fan out through
     /// [`parallel::map_chunks`], one executor clone (and so one
     /// workspace/panel) per worker. A batch spanning several days thus
-    /// splits its whole (day, probe) grid evenly over the workers. Each
-    /// worker binds and fuses its probes with their own day's λ; then the
-    /// density backend buckets the fused programs by shape
-    /// ([`FusedProgram::same_shape`], days may share a bucket: λ is lane
-    /// data) and runs each bucket as the lanes of one density panel
-    /// ([`SimWorkspace::run_lanes`], 4 lanes at a time, then 2, then 1),
-    /// and the trajectory backend packs consecutive probes that bind to
-    /// bitwise-identical parameter vectors **on the same day** into
-    /// shared [`TrajectoryPanel`] sweeps
+    /// splits its whole (day, probe) grid evenly over the workers.
+    ///
+    /// The density backend fuses each structure once: the calling thread
+    /// builds the structure's [`DensityTemplate`] from the group's first
+    /// probe (unless the cached structure already holds one), and workers
+    /// patch every probe's matrices and its own day's λs straight into one
+    /// lane of the run's operand tables ([`DensityTemplate::patch`]),
+    /// running 4 lanes at a time, then 2, then 1
+    /// ([`SimWorkspace::run_tables`]). A probe whose program would have
+    /// another shape (a channel clamped away on its day, or a matrix of
+    /// another class) is bound and fused in full and run alone;
+    /// [`Self::cache_stats`] counts both ways. The trajectory backend
+    /// packs consecutive probes that bind to bitwise-identical parameter
+    /// vectors **on the same day** into shared [`TrajectoryPanel`] sweeps
     /// ([`quasim::trajectory::estimate_prob_one_panel_multi`]). Readout
     /// confusion comes from each probe's own day. Results return by probe
     /// index.
@@ -991,6 +1027,26 @@ impl NoisyExecutor {
             .collect();
         let mut order: Vec<usize> = (0..probes.len()).collect();
         order.sort_by_key(|&i| (group[i], feature_run[i], probes[i].day));
+        // The density arm patches probes into their structure's template,
+        // built here on the calling thread from the group's first probe in
+        // structure order, so the fuse counts do not depend on `threads`.
+        let density = self.options.backend == SimBackend::Density;
+        let mut fuses = 0u64;
+        if density {
+            for run in order.chunk_by(|&a, &b| group[a] == group[b]) {
+                let (entry, first) = (&entries[group[run[0]]], run[0]);
+                assert_density_fits(&entry.compaction);
+                entry.density.get_or_init(|| {
+                    fuses += 1;
+                    DensityTemplate::build(
+                        entry.template.physical(),
+                        &fulls[first],
+                        &entry.compaction,
+                        |op| self.op_lambda(op, days[probes[first].day]),
+                    )
+                });
+            }
+        }
         // Every probe's noise comes from its own stream and results are
         // placed by probe index, so neither the order nor the fan-out can
         // change bits.
@@ -1004,14 +1060,21 @@ impl NoisyExecutor {
             out
         });
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); probes.len()];
-        for (&i, z) in order.iter().zip(scores) {
+        let mut patches = 0u64;
+        for (&i, (z, patched)) in order.iter().zip(scores) {
+            patches += u64::from(patched);
             out[i] = z;
+        }
+        if density {
+            fuses += probes.len() as u64 - patches;
+            self.cache.count_density(fuses, patches);
         }
         out
     }
 
     /// Scores of the probes `idxs` (all of structure `entry`), in `idxs`
-    /// order, each under its own day of `days`: the per-worker half of
+    /// order, each under its own day of `days`, and whether the probe ran
+    /// from the structure's density template: the per-worker half of
     /// [`Self::evaluate_probes_over_days`].
     fn evaluate_group(
         &self,
@@ -1020,67 +1083,78 @@ impl NoisyExecutor {
         fulls: &[Vec<f64>],
         entry: &CachedStructure,
         idxs: &[usize],
-    ) -> Vec<Vec<f64>> {
+    ) -> Vec<(Vec<f64>, bool)> {
         use rand::SeedableRng;
         let shot_rng = |i: usize| {
             rand::rngs::StdRng::seed_from_u64(mix_stream(self.options.shot_seed, probes[i].stream))
         };
         let day_of = |i: usize| days[probes[i].day];
-        let mut out: Vec<Vec<f64>> = vec![Vec::new(); idxs.len()];
+        let noise_of = |i: usize| move |op: &NativeOp| self.op_lambda(op, day_of(i));
+        let mut out: Vec<(Vec<f64>, bool)> = vec![(Vec::new(), false); idxs.len()];
         match self.options.backend {
             SimBackend::Density => {
-                assert_density_fits(&entry.compaction);
-                let thetas: Vec<&[f64]> = idxs.iter().map(|&i| fulls[i].as_slice()).collect();
-                let natives = entry
-                    .template
-                    .bind_batch(self.model.circuit(), &thetas, ANGLE_TOL);
-                let programs: Vec<FusedProgram> = natives
-                    .iter()
-                    .zip(idxs)
-                    .map(|(native, &i)| {
-                        fuse_native_compacted(native, &entry.compaction, |op| {
-                            self.op_lambda(op, day_of(i))
-                        })
-                    })
-                    .collect();
-                // Bucket by shape in first-appearance order (fingerprints
-                // first, the full comparison only on a fingerprint match).
-                let prints: Vec<u64> = programs
-                    .iter()
-                    .map(FusedProgram::shape_fingerprint)
-                    .collect();
-                let mut buckets: Vec<Vec<usize>> = Vec::new();
-                for j in 0..programs.len() {
-                    let same = |b: &&mut Vec<usize>| {
-                        prints[b[0]] == prints[j] && programs[b[0]].same_shape(&programs[j])
-                    };
-                    match buckets.iter_mut().find(same) {
-                        Some(bucket) => bucket.push(j),
-                        None => buckets.push(vec![j]),
-                    }
-                }
-                let max_lanes = SimWorkspace::max_lanes(entry.compaction.n_active());
+                let template = entry
+                    .density
+                    .get()
+                    .expect("the caller builds the density template");
+                let shape = template.program();
+                let layout = entry.template.physical().final_layout();
+                let compact = |q: usize| entry.compaction.compact(q);
+                let max_lanes = SimWorkspace::max_lanes(shape.n_qubits());
                 let mut ws = self.workspace.borrow_mut();
-                for bucket in &buckets {
-                    let mut rest = bucket.as_slice();
-                    while !rest.is_empty() {
-                        let width = [4, 2, 1]
-                            .into_iter()
-                            .find(|&w| w <= max_lanes && w <= rest.len())
-                            .expect("width 1 always fits");
-                        let (lanes, tail) = rest.split_at(width);
-                        rest = tail;
-                        let lane_programs: Vec<&FusedProgram> =
-                            lanes.iter().map(|&j| &programs[j]).collect();
-                        ws.run_lanes(&lane_programs);
-                        for (lane, &j) in lanes.iter().enumerate() {
-                            out[j] = self.scores_from_probs(
-                                &natives[j],
-                                day_of(idxs[j]),
-                                &mut shot_rng(idxs[j]),
-                                |q| ws.prob_one_lane(lane, entry.compaction.compact(q)),
+                let mut tables = self.lane_tables.borrow_mut();
+                // Probes are patched into the lanes of one run, 4 at a
+                // time, then 2, then 1; a probe the template does not fit
+                // is fused in full and run alone instead.
+                let mut j = 0;
+                while j < idxs.len() {
+                    let width = [4, 2, 1]
+                        .into_iter()
+                        .find(|&w| w <= max_lanes && w <= idxs.len() - j)
+                        .expect("width 1 always fits");
+                    tables.reset(shape, width);
+                    let (mut lanes, mut filled) = ([0usize; 4], 0);
+                    while filled < width && j < idxs.len() {
+                        let i = idxs[j];
+                        if template.patch(&fulls[i], noise_of(i), &mut tables, filled) {
+                            debug_assert_eq!(
+                                tables.lane_program(shape, filled),
+                                fuse_native_compacted(
+                                    &entry.template.bind(&fulls[i]),
+                                    &entry.compaction,
+                                    noise_of(i)
+                                ),
+                                "a patched probe differs from its from-scratch fuse"
                             );
+                            lanes[filled] = j;
+                            filled += 1;
+                        } else {
+                            let native = entry.template.bind(&fulls[i]);
+                            let program =
+                                fuse_native_compacted(&native, &entry.compaction, noise_of(i));
+                            ws.run_lanes(&[&program]);
+                            let z =
+                                self.scores_from_probs(layout, day_of(i), &mut shot_rng(i), |q| {
+                                    ws.prob_one_lane(0, compact(q))
+                                });
+                            out[j] = (z, false);
                         }
+                        j += 1;
+                    }
+                    if filled == 0 {
+                        continue;
+                    }
+                    // Fallbacks left spare lanes: run copies of the last.
+                    for spare in filled..width {
+                        tables.copy_lane(filled - 1, spare);
+                    }
+                    ws.run_tables(shape, &tables);
+                    for (lane, &j) in lanes[..filled].iter().enumerate() {
+                        let i = idxs[j];
+                        let z = self.scores_from_probs(layout, day_of(i), &mut shot_rng(i), |q| {
+                            ws.prob_one_lane(lane, compact(q))
+                        });
+                        out[j] = (z, true);
                     }
                 }
             }
@@ -1123,12 +1197,13 @@ impl NoisyExecutor {
                         )
                     };
                     for (slot, est) in (j..k).zip(ests.iter()) {
-                        out[slot] = self.scores_from_probs(
-                            &native,
+                        let z = self.scores_from_probs(
+                            native.final_layout(),
                             snapshot,
                             &mut shot_rng(idxs[slot]),
                             |q| est.p_one_of(entry.compaction.compact(q)),
                         );
+                        out[slot] = (z, false);
                     }
                     j = k;
                 }
@@ -1299,10 +1374,13 @@ pub mod parallel {
     //! `QUCAD_THREADS` environment variable and falls back to
     //! [`std::thread::available_parallelism`].
     //!
-    //! Each worker clones the executor once and with it one
-    //! [`quasim::density::SimWorkspace`], so density-matrix storage (and
-    //! the lane panels) is allocated **once per worker per run** and reset
-    //! in place between runs.
+    //! [`map_chunks`] clones the executor for every worker it spawns, on
+    //! **every call** that fans out, and with it the [`quasim::density::SimWorkspace`] (the
+    //! density-matrix storage and lane panels), the lane operand tables
+    //! and the [`quasim::trajectory::TrajectoryPanel`]. Storage is
+    //! therefore allocated once per worker per call and reset in place
+    //! between the probes of that call; an SPSA fine-tune, which makes one
+    //! call per step, pays the clone on every step.
 
     use super::{NoisyExecutor, ProbeBatch};
     use crate::data::Sample;
@@ -1748,18 +1826,24 @@ mod tests {
 
     #[test]
     fn day_spanning_batch_matches_seeded_evaluations_bitwise() {
-        // Probes on three days, several of them bitwise-equal (features,
+        // Probes on four days, several of them bitwise-equal (features,
         // weights) on different days: day 1 differs from day 0 only in
-        // readout, day 2 only in gate errors. Every probe must reproduce
-        // its standalone evaluation under its own day, so a bind + fuse
-        // shared across days or a readout taken from the wrong day breaks
-        // the bits.
+        // readout, day 2 only in gate errors, and day 3 has a qubit with a
+        // zero error rate, so its programs lack that qubit's channels and
+        // do not fit a template built on another day: they fall back to a
+        // full fuse inside the batch. Every probe must reproduce its
+        // standalone evaluation under its own day, so a bind + fuse shared
+        // across days, a λ or readout taken from the wrong day (or lane),
+        // or a fallback that skips its probe breaks the bits.
         let model = VqcModel::paper_model(4, 4, 4, 1);
         let topo = Topology::ibm_belem();
+        let mut clean_q1 = CalibrationSnapshot::uniform(&topo, 3, 2e-3, 3e-2, 0.02);
+        clean_q1.single_qubit_error[1] = 0.0;
         let days = [
             CalibrationSnapshot::uniform(&topo, 0, 2e-3, 3e-2, 0.02),
             CalibrationSnapshot::uniform(&topo, 1, 2e-3, 3e-2, 0.09),
             CalibrationSnapshot::uniform(&topo, 2, 2e-2, 1.5e-1, 0.02),
+            clean_q1,
         ];
         let day_refs: Vec<&CalibrationSnapshot> = days.iter().collect();
         let f_a = [0.4, 0.9, 1.3, 0.2];
@@ -1768,15 +1852,18 @@ mod tests {
         let nudged: Vec<f64> = base.iter().map(|w| w + 0.01).collect();
         let mut compressed = base.clone();
         compressed[2] = 0.0;
-        let probes: [(usize, &[f64], &[f64]); 10] = [
+        let probes: [(usize, &[f64], &[f64]); 13] = [
             (0, &f_a, &base),
             (1, &f_a, &base),
             (2, &f_a, &base),
+            (3, &f_a, &base),
             (2, &f_a, &base),
             (0, &f_b, &nudged),
             (2, &f_b, &nudged),
+            (3, &f_b, &nudged),
             (1, &f_a, &compressed),
             (0, &f_a, &compressed),
+            (3, &f_a, &compressed),
             (1, &f_b, &base),
             (0, &f_a, &base),
         ];
@@ -1800,7 +1887,15 @@ mod tests {
                 .map(|p| exec.z_scores_seeded(p.features, p.weights, &days[p.day], p.stream))
                 .collect();
             for threads in [1usize, 2, 3, 16] {
+                let before = exec.cache_stats();
                 let got = exec.evaluate_probes_over_days(&day_refs, &batch, threads);
+                let after = exec.cache_stats();
+                if backend == SimBackend::Density {
+                    // The templates exist (the seeded calls built them on
+                    // days 0 and 1); the three day-3 probes fall back.
+                    assert_eq!(after.fuses - before.fuses, 3, "threads {threads}");
+                    assert_eq!(after.patches - before.patches, 10, "threads {threads}");
+                }
                 assert_eq!(got.len(), want.len());
                 for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
                     assert_eq!(g.len(), w.len());
@@ -1883,6 +1978,40 @@ mod tests {
         let stats = exec.cache_stats();
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.hits, 2, "warm batch: one hit per group");
+    }
+
+    #[test]
+    fn spsa_batch_counts_one_fuse_per_structure_and_a_patch_per_probe() {
+        // An SPSA step's batch: 12 feature vectors, each at w + δ and
+        // w − δ, all of one structure, on one day.
+        let (model, topo, _) = setup();
+        let snap = CalibrationSnapshot::uniform(&topo, 0, 2e-3, 3e-2, 0.02);
+        let base = model.init_weights(5);
+        let plus: Vec<f64> = base.iter().map(|w| w + 0.05).collect();
+        let minus: Vec<f64> = base.iter().map(|w| w - 0.05).collect();
+        let features: Vec<Vec<f64>> = (0..12)
+            .map(|s| (0..4).map(|k| 0.3 + 0.17 * (s * 4 + k) as f64).collect())
+            .collect();
+        let mut batch = ProbeBatch::with_capacity(24);
+        for (s, f) in features.iter().enumerate() {
+            batch.push(f, &plus, 2 * s as u64);
+            batch.push(f, &minus, 2 * s as u64 + 1);
+        }
+        let stats = |hits, misses, fuses, patches| ProgramCacheStats {
+            hits,
+            misses,
+            fuses,
+            patches,
+        };
+        for threads in [1usize, 2, 16] {
+            let exec = NoisyExecutor::new(&model, &topo, NoiseOptions::default());
+            let _ = exec.evaluate_probes(&snap, &batch, threads);
+            // Cold: one route and one template fuse, every probe patched.
+            assert_eq!(exec.cache_stats(), stats(0, 1, 1, 24), "threads {threads}");
+            let _ = exec.evaluate_probes(&snap, &batch, threads);
+            // Warm: no compile, no fuse.
+            assert_eq!(exec.cache_stats(), stats(1, 1, 1, 48), "threads {threads}");
+        }
     }
 
     /// Weight vector with the low `bits` weights zeroed per `mask`'s bits:

@@ -16,9 +16,11 @@
 //! [`DensityMatrix::apply_fused`], and [`SimWorkspace`] makes the backing
 //! storage reusable across simulations. [`SimWorkspace::run_lanes`] runs
 //! up to four same-shape programs at once as the SIMD lanes of one panel,
-//! bit-identical to running each alone.
+//! bit-identical to running each alone; [`SimWorkspace::run_tables`] runs
+//! one shape with per-lane operands written straight into
+//! [`crate::fused::LaneTables`].
 
-use crate::fused::FusedProgram;
+use crate::fused::{run_operands, FusedProgram, LaneTables};
 use crate::gate::BoundGate;
 use crate::math::{CMatrix, Complex64};
 use crate::noise::{apply_readout_to_distribution, KrausChannel, ReadoutError};
@@ -532,6 +534,42 @@ impl SimWorkspace {
             2 => run_panel(&mut self.rho2, self.dim, programs, self.kernel),
             4 => run_panel(&mut self.rho4, self.dim, programs, self.kernel),
             n => panic!("lane count must be 1, 2 or 4, got {n}"),
+        }
+    }
+
+    /// Runs `shape` from `|0…0⟩⟨0…0|` with the operands of `tables`, one
+    /// lane per table lane: lane `k` ends bit-identical to [`Self::run`] of
+    /// [`LaneTables::lane_program`]`(shape, k)`. The matrices and `λ`s
+    /// stored in `shape` itself are not read — only its segments, atoms
+    /// and classes. Read the lanes with [`Self::prob_one_lane`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tables are not sized for `shape`, hold more lanes
+    /// than [`Self::max_lanes`], or the register exceeds 12 qubits.
+    pub fn run_tables(&mut self, shape: &FusedProgram, tables: &LaneTables) {
+        let n = shape.n_qubits();
+        let width = tables.width();
+        assert!(tables.fits(shape), "lane tables do not fit the shape");
+        assert!(
+            width <= Self::max_lanes(n),
+            "{width} lanes exceed the {n}-qubit panel budget"
+        );
+        self.set_register(n, width);
+        let dim = self.dim;
+        match width {
+            1 => {
+                reset_panel(&mut self.rho, dim, Complex64::ZERO, Complex64::ONE);
+                run_operands(&mut self.rho[..], shape, &tables.one, self.kernel);
+            }
+            2 => {
+                reset_panel(&mut self.rho2, dim, CLane::ZERO, CLane::ONE);
+                run_operands(&mut self.rho2[..], shape, &tables.two, self.kernel);
+            }
+            _ => {
+                reset_panel(&mut self.rho4, dim, CLane::ZERO, CLane::ONE);
+                run_operands(&mut self.rho4[..], shape, &tables.four, self.kernel);
+            }
         }
     }
 

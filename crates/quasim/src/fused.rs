@@ -35,11 +35,14 @@
 //! and per atom the same kind, [`MatClass`], CX control, `swapped` flag
 //! and table index — only matrices and `λ` differ) in lockstep on a lane
 //! panel: `ρ` row-major, each entry holding the `B` lanes' real parts and
-//! their imaginary parts as `[f64; B]` arrays. The matrices and `λ` are
-//! gathered per lane once per run. Every segment is one walk over the
-//! upper block triangle (plus mirror), shared by all widths, so a block
-//! load fetches the same entry of every lane and the lane arithmetic fills
-//! SIMD registers. An AVX2 compilation of the runner is chosen through
+//! their imaginary parts as `[f64; B]` arrays. The matrices and `λ` come
+//! from per-lane operand tables ([`LaneTables`]): gathered from whole
+//! programs by [`crate::density::SimWorkspace::run_lanes`], or written
+//! lane by lane by a caller that computes them directly and runs them
+//! with [`crate::density::SimWorkspace::run_tables`]. Every segment is
+//! one walk over the upper block triangle (plus mirror), shared by all
+//! widths, so a block load fetches the same entry of every lane and the
+//! lane arithmetic fills SIMD registers. An AVX2 compilation of the runner is chosen through
 //! [`crate::trajectory::KernelMode::detect`]; `QUCAD_FORCE_SCALAR` pins
 //! the plain one.
 //!
@@ -314,32 +317,6 @@ impl FusedProgram {
                 .all(|(a, b)| atom_shape(a) == atom_shape(b))
     }
 
-    /// A 64-bit fingerprint of the program's shape: programs of the same
-    /// shape ([`Self::same_shape`]) have equal fingerprints, so comparing
-    /// fingerprints first makes bucketing many programs by shape cheap.
-    pub fn shape_fingerprint(&self) -> u64 {
-        // FNV-1a over the shape words.
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut mix = |w: u64| {
-            h ^= w;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        mix(self.n_qubits as u64);
-        mix(self.m2s.len() as u64);
-        mix(self.m4s.len() as u64);
-        for seg in &self.segments {
-            match seg.support {
-                Support::One(q) => mix(q as u64),
-                Support::Two(a, b) => mix(1 << 32 | (a as u64) << 16 | b as u64),
-            }
-            mix((seg.atoms.start as u64) << 32 | seg.atoms.end as u64);
-        }
-        for atom in &self.atoms {
-            mix(atom_shape(atom));
-        }
-        h
-    }
-
     /// Returns a copy of the program with every run of two or more
     /// consecutive unitary atoms collapsed into a single precomposed
     /// matrix, so a trajectory pass applies one matrix where it used to
@@ -532,6 +509,15 @@ pub fn reorient4(m: &M4) -> M4 {
     out
 }
 
+/// The strength a depolarising atom carries for a requested `lambda`:
+/// clamped to `[0, 1]`, and `None` when that is `0` (an exact no-op the
+/// builder drops). The one rule behind [`ProgramBuilder::depolarize_1q`],
+/// [`ProgramBuilder::depolarize_2q`] and every patch of a program's `λ`.
+pub fn channel_strength(lambda: f64) -> Option<f64> {
+    let l = lambda.clamp(0.0, 1.0);
+    (l != 0.0).then_some(l)
+}
+
 /// Incremental builder performing the greedy fusion grouping.
 ///
 /// Operations pushed in program order are appended to the currently open
@@ -644,10 +630,9 @@ impl ProgramBuilder {
     /// Panics if `q` is out of range.
     pub fn depolarize_1q(&mut self, q: usize, lambda: f64) {
         assert!(q < self.n_qubits, "qubit {q} out of range");
-        let l = lambda.clamp(0.0, 1.0);
-        if l == 0.0 {
+        let Some(l) = channel_strength(lambda) else {
             return;
-        }
+        };
         self.align_one(q);
         self.atoms.push(FusedAtom::Depol1 { lambda: l });
     }
@@ -689,12 +674,28 @@ impl ProgramBuilder {
             "qubit out of range"
         );
         assert_ne!(first, second, "qubits must be distinct");
-        let l = lambda.clamp(0.0, 1.0);
-        if l == 0.0 {
+        let Some(l) = channel_strength(lambda) else {
             return;
-        }
+        };
         let swapped = self.align_two(first, second);
         self.atoms.push(FusedAtom::Depol2 { lambda: l, swapped });
+    }
+
+    /// Number of 2×2 matrices pushed so far: the table index the next
+    /// one-qubit unitary gets.
+    pub fn n_m2s(&self) -> usize {
+        self.m2s.len()
+    }
+
+    /// Number of 4×4 matrices pushed so far: the table index the next
+    /// two-qubit unitary gets.
+    pub fn n_m4s(&self) -> usize {
+        self.m4s.len()
+    }
+
+    /// Number of atoms pushed so far: the atom index the next atom gets.
+    pub fn n_atoms(&self) -> usize {
+        self.atoms.len()
     }
 
     /// Finalises the program.
@@ -744,9 +745,10 @@ fn atom_shape(atom: &FusedAtom) -> u64 {
     }
 }
 
-/// Per-lane operands of `B` same-shape programs, gathered lane-major once
-/// per run: lane `k` of every entry belongs to program `k`.
-struct LaneOperands<const B: usize> {
+/// Per-lane operands of `B` programs of one shape, lane-major: lane `k`
+/// of every entry belongs to program `k`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LaneOperands<const B: usize> {
     m2s: Vec<Lanes4<B>>,
     m4s: Vec<Lanes16<B>>,
     /// Depolarising strength per atom position (unused for other atoms).
@@ -754,23 +756,233 @@ struct LaneOperands<const B: usize> {
 }
 
 impl<const B: usize> LaneOperands<B> {
-    fn gather(programs: &[&FusedProgram; B]) -> Self {
-        let shape = programs[0];
-        LaneOperands {
-            m2s: (0..shape.m2s.len())
-                .map(|i| std::array::from_fn(|e| CLane::gather(|k| programs[k].m2s[i][e])))
-                .collect(),
-            m4s: (0..shape.m4s.len())
-                .map(|i| std::array::from_fn(|e| CLane::gather(|k| programs[k].m4s[i][e])))
-                .collect(),
-            lambdas: (0..shape.atoms.len())
-                .map(|a| {
-                    std::array::from_fn(|k| match programs[k].atoms[a] {
-                        FusedAtom::Depol1 { lambda } | FusedAtom::Depol2 { lambda, .. } => lambda,
-                        _ => 0.0,
-                    })
-                })
-                .collect(),
+    /// Sizes the tables for `shape`, keeping their allocations.
+    fn resize(&mut self, shape: &FusedProgram) {
+        self.m2s.resize(shape.m2s.len(), [CLane::ZERO; 4]);
+        self.m4s.resize(shape.m4s.len(), [CLane::ZERO; 16]);
+        self.lambdas.resize(shape.atoms.len(), [0.0; B]);
+    }
+
+    fn fits(&self, shape: &FusedProgram) -> bool {
+        self.m2s.len() == shape.m2s.len()
+            && self.m4s.len() == shape.m4s.len()
+            && self.lambdas.len() == shape.atoms.len()
+    }
+
+    fn set_m2(&mut self, lane: usize, idx: usize, m: &M2) {
+        for (slot, z) in self.m2s[idx].iter_mut().zip(m) {
+            slot.re[lane] = z.re;
+            slot.im[lane] = z.im;
+        }
+    }
+
+    fn set_m4(&mut self, lane: usize, idx: usize, m: &M4) {
+        for (slot, z) in self.m4s[idx].iter_mut().zip(m) {
+            slot.re[lane] = z.re;
+            slot.im[lane] = z.im;
+        }
+    }
+
+    /// Loads every operand of `program` (of the tables' shape) into `lane`.
+    fn load(&mut self, lane: usize, program: &FusedProgram) {
+        for (i, m) in program.m2s.iter().enumerate() {
+            self.set_m2(lane, i, m);
+        }
+        for (i, m) in program.m4s.iter().enumerate() {
+            self.set_m4(lane, i, m);
+        }
+        for (l, atom) in self.lambdas.iter_mut().zip(&program.atoms) {
+            l[lane] = match *atom {
+                FusedAtom::Depol1 { lambda } | FusedAtom::Depol2 { lambda, .. } => lambda,
+                _ => 0.0,
+            };
+        }
+    }
+
+    fn copy_lane(&mut self, from: usize, to: usize) {
+        for m in &mut self.m2s {
+            for z in m.iter_mut() {
+                z.re[to] = z.re[from];
+                z.im[to] = z.im[from];
+            }
+        }
+        for m in &mut self.m4s {
+            for z in m.iter_mut() {
+                z.re[to] = z.re[from];
+                z.im[to] = z.im[from];
+            }
+        }
+        for l in &mut self.lambdas {
+            l[to] = l[from];
+        }
+    }
+
+    /// `shape` with lane `lane`'s operands in place of its own.
+    fn lane_program(&self, shape: &FusedProgram, lane: usize) -> FusedProgram {
+        let mut program = shape.clone();
+        for (m, lanes) in program.m2s.iter_mut().zip(&self.m2s) {
+            *m = lanes.map(|z| z.lane(lane));
+        }
+        for (m, lanes) in program.m4s.iter_mut().zip(&self.m4s) {
+            *m = lanes.map(|z| z.lane(lane));
+        }
+        for (atom, l) in program.atoms.iter_mut().zip(&self.lambdas) {
+            if let FusedAtom::Depol1 { lambda } | FusedAtom::Depol2 { lambda, .. } = atom {
+                *lambda = l[lane];
+            }
+        }
+        program
+    }
+}
+
+/// The operand tables of one lane run: the matrices and `λ`s of up to
+/// four programs of one shape, written lane by lane.
+///
+/// [`crate::density::SimWorkspace::run_tables`] runs a shape program
+/// (its segments, atoms and [`MatClass`]es) with these operands, so a
+/// caller that can compute a program's values directly — a template
+/// patched per probe — never builds the program itself. Only `B` ∈ {1, 2,
+/// 4} lanes exist; the tables keep their allocations across
+/// [`Self::reset`]s.
+///
+/// # Examples
+///
+/// ```
+/// use quasim::density::SimWorkspace;
+/// use quasim::fused::{LaneTables, ProgramBuilder};
+/// use quasim::gate::GateKind;
+///
+/// let mut builder = ProgramBuilder::new(1);
+/// builder.unitary_1q(0, GateKind::Ry.entries_1q(0.3).unwrap());
+/// builder.depolarize_1q(0, 0.01);
+/// let shape = builder.finish();
+///
+/// let mut tables = LaneTables::new();
+/// tables.reset(&shape, 2);
+/// for (lane, theta) in [0.3, 1.2].into_iter().enumerate() {
+///     tables.set_m2(lane, 0, &GateKind::Ry.entries_1q(theta).unwrap());
+///     tables.set_lambda(lane, 1, 0.01);
+/// }
+/// // Lane 0 holds exactly the shape's own operands.
+/// assert_eq!(tables.lane_program(&shape, 0), shape);
+/// let mut ws = SimWorkspace::new();
+/// ws.run_tables(&shape, &tables);
+/// assert!(ws.prob_one_lane(1, 0) > ws.prob_one_lane(0, 0));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct LaneTables {
+    width: usize,
+    pub(crate) one: LaneOperands<1>,
+    pub(crate) two: LaneOperands<2>,
+    pub(crate) four: LaneOperands<4>,
+}
+
+/// Dispatches `$body` on the tables of the current width as `$ops`.
+macro_rules! at_width {
+    ($tables:expr, $ops:ident => $body:expr) => {
+        match $tables.width {
+            1 => {
+                let $ops = &mut $tables.one;
+                $body
+            }
+            2 => {
+                let $ops = &mut $tables.two;
+                $body
+            }
+            4 => {
+                let $ops = &mut $tables.four;
+                $body
+            }
+            _ => panic!("lane tables not reset"),
+        }
+    };
+}
+
+impl LaneTables {
+    /// Empty tables; [`Self::reset`] them before the first write.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sizes the tables for `width` lanes of `shape`'s programs. Lane
+    /// contents are unspecified until written.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `width` is 1, 2 or 4.
+    pub fn reset(&mut self, shape: &FusedProgram, width: usize) {
+        assert!(
+            matches!(width, 1 | 2 | 4),
+            "lane count must be 1, 2 or 4, got {width}"
+        );
+        self.width = width;
+        at_width!(self, ops => ops.resize(shape));
+    }
+
+    /// Number of lanes (0 before the first reset).
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Whether the tables are sized for `shape`.
+    pub(crate) fn fits(&self, shape: &FusedProgram) -> bool {
+        match self.width {
+            1 => self.one.fits(shape),
+            2 => self.two.fits(shape),
+            4 => self.four.fits(shape),
+            _ => false,
+        }
+    }
+
+    /// Writes lane `lane` of 2×2 table entry `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` or `idx` is out of range.
+    pub fn set_m2(&mut self, lane: usize, idx: u32, m: &M2) {
+        at_width!(self, ops => ops.set_m2(lane, idx as usize, m));
+    }
+
+    /// Writes lane `lane` of 4×4 table entry `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` or `idx` is out of range.
+    pub fn set_m4(&mut self, lane: usize, idx: u32, m: &M4) {
+        at_width!(self, ops => ops.set_m4(lane, idx as usize, m));
+    }
+
+    /// Writes lane `lane`'s strength of the depolarising atom at `atom`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` or `atom` is out of range.
+    pub fn set_lambda(&mut self, lane: usize, atom: usize, lambda: f64) {
+        at_width!(self, ops => ops.lambdas[atom][lane] = lambda);
+    }
+
+    /// Copies every operand of lane `from` into lane `to` (a run with
+    /// fewer programs than lanes fills the spare lanes this way).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either lane is out of range.
+    pub fn copy_lane(&mut self, from: usize, to: usize) {
+        at_width!(self, ops => ops.copy_lane(from, to));
+    }
+
+    /// The program lane `lane` runs: `shape` with that lane's operands —
+    /// how checks compare a patched lane with a from-scratch fuse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range or the tables do not fit `shape`.
+    pub fn lane_program(&self, shape: &FusedProgram, lane: usize) -> FusedProgram {
+        assert!(self.fits(shape), "shape does not fit the lane tables");
+        match self.width {
+            1 => self.one.lane_program(shape, lane),
+            2 => self.two.lane_program(shape, lane),
+            _ => self.four.lane_program(shape, lane),
         }
     }
 }
@@ -779,29 +991,43 @@ impl<const B: usize> LaneOperands<B> {
 /// by the caller) in lockstep on the lane storage `data`: lane `k` of
 /// `data` evolves under `programs[k]`, bit-identical to a width-1 run of
 /// that program alone (see the `quasim::density::kernels` lane contract).
+pub(crate) fn run_lanes<const B: usize, S: LaneStore<B> + ?Sized>(
+    data: &mut S,
+    programs: &[&FusedProgram; B],
+    kernel: KernelMode,
+) {
+    let mut operands = LaneOperands::default();
+    operands.resize(programs[0]);
+    for (lane, program) in programs.iter().enumerate() {
+        operands.load(lane, program);
+    }
+    run_operands(data, programs[0], &operands, kernel);
+}
+
+/// Runs `shape`'s segments and atoms with the lane operands `operands`
+/// (sized for `shape`) on the lane storage `data`.
 ///
 /// `kernel` picks the compilation: [`KernelMode::Avx2`] runs an AVX2
 /// compilation of the same code ([`KernelMode::detect`] picks it unless
 /// `QUCAD_FORCE_SCALAR` is set), [`KernelMode::Scalar`] the plain one.
 /// Both compile the identical lane expressions, which contain no FMA, so
 /// they agree bit for bit.
-pub(crate) fn run_lanes<const B: usize, S: LaneStore<B> + ?Sized>(
+pub(crate) fn run_operands<const B: usize, S: LaneStore<B> + ?Sized>(
     data: &mut S,
-    programs: &[&FusedProgram; B],
+    shape: &FusedProgram,
+    operands: &LaneOperands<B>,
     kernel: KernelMode,
 ) {
-    let shape = programs[0];
     let dim = 1usize << shape.n_qubits;
-    let operands = LaneOperands::gather(programs);
     match kernel {
-        KernelMode::Scalar => run_segments(data, dim, shape, &operands),
+        KernelMode::Scalar => run_segments(data, dim, shape, operands),
         KernelMode::Avx2 => {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Avx2` is only constructed after `avx2_supported()`
             // returned true (`detect` / `set_kernel_mode`), so the avx2
             // target feature is available on this CPU.
             unsafe {
-                run_segments_avx2(data, dim, shape, &operands);
+                run_segments_avx2(data, dim, shape, operands);
             }
             #[cfg(not(target_arch = "x86_64"))]
             unreachable!("KernelMode::Avx2 cannot be constructed off x86_64");

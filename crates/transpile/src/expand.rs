@@ -189,6 +189,77 @@ fn fixed_gate_pulses(kind: GateKind) -> u32 {
     }
 }
 
+/// The share of a parameter a native rotation turns by: the whole angle of
+/// a plain rotation, or one of the two half-angle rotations of a
+/// controlled-rotation decomposition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AngleScale {
+    /// `θ`.
+    Whole,
+    /// `θ/2`.
+    Half,
+    /// `−θ/2`.
+    NegHalf,
+}
+
+impl AngleScale {
+    /// The rotation angle for a parameter at `theta`.
+    fn apply(self, theta: f64) -> f64 {
+        match self {
+            AngleScale::Whole => theta,
+            AngleScale::Half => theta / 2.0,
+            AngleScale::NegHalf => -(theta / 2.0),
+        }
+    }
+}
+
+/// Where a native op's angle comes from, as [`expand_sourced`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AngleSource {
+    /// Not from the parameter vector: the op is the same at every vector
+    /// of the structure (CNOTs, `H` wraps, fixed-angle gates).
+    Fixed,
+    /// A rotation by `scale` of parameter `index`, whose pulse cost is
+    /// [`rotation_pulses`] of its angle.
+    Param {
+        /// Index into the parameter vector.
+        index: usize,
+        /// Share of the parameter the rotation turns by.
+        scale: AngleScale,
+    },
+}
+
+impl AngleSource {
+    /// `op` (an op [`expand_sourced`] reported with this source) at the
+    /// parameter vector `theta`: the op itself when fixed, otherwise the
+    /// same rotation at its angle under `theta`, with that angle's pulse
+    /// cost — exactly the op [`expand`] emits at `theta` whenever `theta`
+    /// keeps the same ops (the same
+    /// [`crate::template::StructureKey`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `theta` is too short for the source's index.
+    pub fn rebind(self, op: &NativeOp, theta: &[f64]) -> NativeOp {
+        match self {
+            AngleSource::Fixed => op.clone(),
+            AngleSource::Param { index, scale } => rotation(
+                op.gate.kind(),
+                op.gate.qubits()[0],
+                scale.apply(theta[index]),
+            ),
+        }
+    }
+}
+
+/// A one-qubit rotation with its pulse cost.
+fn rotation(kind: GateKind, q: usize, angle: f64) -> NativeOp {
+    NativeOp {
+        gate: BoundGate::one(kind, q, angle),
+        pulses: rotation_pulses(angle),
+    }
+}
+
 /// Expands a routed circuit at concrete parameter values into native ops.
 ///
 /// Gates whose bound angle is `0 (mod 2π)` within [`ANGLE_TOL`] are dropped;
@@ -199,27 +270,59 @@ fn fixed_gate_pulses(kind: GateKind) -> u32 {
 ///
 /// Panics if `theta` is shorter than the circuit's parameter count.
 pub fn expand(phys: &PhysicalCircuit, theta: &[f64]) -> NativeCircuit {
+    let mut ops: Vec<NativeOp> = Vec::with_capacity(phys.ops().len() * 2);
+    expand_sourced(phys, theta, |op, _| ops.push(op));
+    NativeCircuit {
+        n_physical: phys.n_physical(),
+        ops,
+        final_layout: phys.final_layout().to_vec(),
+    }
+}
+
+/// The walk behind [`expand`]: hands every native op, in order, to `emit`
+/// together with the [`AngleSource`] its angle comes from, so a caller can
+/// recompute the op at another parameter vector of the same structure
+/// ([`AngleSource::rebind`]) without expanding again.
+///
+/// # Panics
+///
+/// Panics if `theta` is shorter than the circuit's parameter count.
+pub fn expand_sourced<F>(phys: &PhysicalCircuit, theta: &[f64], mut emit: F)
+where
+    F: FnMut(NativeOp, AngleSource),
+{
     assert!(
         theta.len() >= phys.n_params(),
         "need {} parameters, got {}",
         phys.n_params(),
         theta.len()
     );
-    let mut ops: Vec<NativeOp> = Vec::with_capacity(phys.ops().len() * 2);
+    let fixed = |kind: GateKind, q: usize| NativeOp {
+        gate: BoundGate::one(kind, q, 0.0),
+        pulses: fixed_gate_pulses(kind),
+    };
+    let cx = |c: usize, t: usize| NativeOp {
+        gate: BoundGate::two(GateKind::Cx, c, t, 0.0),
+        pulses: 0,
+    };
     for op in phys.ops() {
-        let angle = match op.param {
-            Some(Param::Idx(i)) => theta[i],
-            Some(Param::Fixed(v)) => v,
-            None => 0.0,
+        let (angle, index) = match op.param {
+            Some(Param::Idx(i)) => (theta[i], Some(i)),
+            Some(Param::Fixed(v)) => (v, None),
+            None => (0.0, None),
+        };
+        let source = |scale| match index {
+            Some(index) => AngleSource::Param { index, scale },
+            None => AngleSource::Fixed,
         };
         match op.kind {
             GateKind::Rx | GateKind::Ry | GateKind::Rz | GateKind::Phase => {
-                let pulses = rotation_pulses(angle);
                 if !angle_is_identity(op.kind, angle, ANGLE_TOL) {
-                    ops.push(NativeOp {
-                        gate: BoundGate::one(op.kind, op.qubits[0], angle),
-                        pulses,
-                    });
+                    let scale = AngleScale::Whole;
+                    emit(
+                        rotation(op.kind, op.qubits[0], scale.apply(angle)),
+                        source(scale),
+                    );
                 }
             }
             GateKind::Crx | GateKind::Cry | GateKind::Crz => {
@@ -236,66 +339,37 @@ pub fn expand(phys: &PhysicalCircuit, theta: &[f64]) -> NativeCircuit {
                         _ => GateKind::Rz,
                     };
                     let (c, t) = (op.qubits[0], op.qubits[1]);
-                    let half = angle / 2.0;
                     let wrap_h = op.kind == GateKind::Crx;
                     if wrap_h {
-                        ops.push(NativeOp {
-                            gate: BoundGate::one(GateKind::H, t, 0.0),
-                            pulses: fixed_gate_pulses(GateKind::H),
-                        });
+                        emit(fixed(GateKind::H, t), AngleSource::Fixed);
                     }
                     // Time order: CX · R(−θ/2) · CX · R(θ/2).
-                    ops.push(NativeOp {
-                        gate: BoundGate::two(GateKind::Cx, c, t, 0.0),
-                        pulses: 0,
-                    });
-                    ops.push(NativeOp {
-                        gate: BoundGate::one(axis, t, -half),
-                        pulses: rotation_pulses(-half),
-                    });
-                    ops.push(NativeOp {
-                        gate: BoundGate::two(GateKind::Cx, c, t, 0.0),
-                        pulses: 0,
-                    });
-                    ops.push(NativeOp {
-                        gate: BoundGate::one(axis, t, half),
-                        pulses: rotation_pulses(half),
-                    });
+                    for scale in [AngleScale::NegHalf, AngleScale::Half] {
+                        emit(cx(c, t), AngleSource::Fixed);
+                        emit(rotation(axis, t, scale.apply(angle)), source(scale));
+                    }
                     if wrap_h {
-                        ops.push(NativeOp {
-                            gate: BoundGate::one(GateKind::H, t, 0.0),
-                            pulses: fixed_gate_pulses(GateKind::H),
-                        });
+                        emit(fixed(GateKind::H, t), AngleSource::Fixed);
                     }
                 }
             }
             GateKind::Swap => {
                 let (a, b) = (op.qubits[0], op.qubits[1]);
                 for (c, t) in [(a, b), (b, a), (a, b)] {
-                    ops.push(NativeOp {
-                        gate: BoundGate::two(GateKind::Cx, c, t, 0.0),
-                        pulses: 0,
-                    });
+                    emit(cx(c, t), AngleSource::Fixed);
                 }
             }
             GateKind::Cx | GateKind::Cz => {
-                ops.push(NativeOp {
-                    gate: BoundGate::two(op.kind, op.qubits[0], op.qubits[1], 0.0),
-                    pulses: 0,
-                });
+                emit(
+                    NativeOp {
+                        gate: BoundGate::two(op.kind, op.qubits[0], op.qubits[1], 0.0),
+                        pulses: 0,
+                    },
+                    AngleSource::Fixed,
+                );
             }
-            kind => {
-                ops.push(NativeOp {
-                    gate: BoundGate::one(kind, op.qubits[0], 0.0),
-                    pulses: fixed_gate_pulses(kind),
-                });
-            }
+            kind => emit(fixed(kind, op.qubits[0]), AngleSource::Fixed),
         }
-    }
-    NativeCircuit {
-        n_physical: phys.n_physical(),
-        ops,
-        final_layout: phys.final_layout().to_vec(),
     }
 }
 

@@ -24,8 +24,12 @@
 //! **bit-identical** to the op-by-op reference (see the `fuse_props`
 //! property tests).
 
-use crate::expand::{NativeCircuit, NativeOp};
-use quasim::fused::{FusedProgram, ProgramBuilder};
+use crate::expand::{expand_sourced, AngleSource, NativeCircuit, NativeOp};
+use crate::route::PhysicalCircuit;
+use quasim::fused::{
+    channel_strength, classify2, FusedAtom, FusedProgram, LaneTables, MatClass, ProgramBuilder, M2,
+    M4,
+};
 use quasim::gate::{BoundGate, GateKind};
 
 /// One simulation event for [`fuse_ops`]: a gate, or a closed-form
@@ -52,6 +56,25 @@ pub enum SimOp {
     },
 }
 
+/// The prebound 2×2 entries of a one-qubit gate: fixed kinds from the
+/// process-wide cache, rotations bound at their angle.
+fn entries_1q(gate: &BoundGate) -> M2 {
+    let kind = gate.kind();
+    match kind.fixed_entries_1q() {
+        Some(cached) => *cached,
+        None => kind
+            .entries_1q(gate.theta())
+            .expect("one-qubit kind has 2x2 entries"),
+    }
+}
+
+/// The prebound 4×4 entries of a two-qubit gate.
+fn entries_2q(gate: &BoundGate) -> M4 {
+    gate.kind()
+        .entries_2q(gate.theta())
+        .expect("two-qubit kind has 4x4 entries")
+}
+
 /// Appends one gate to the builder with the same dispatch the unfused
 /// density-matrix path uses (`CX` → permutation fast path, otherwise by
 /// arity), prebinding its matrix. `q0`/`q1` are the (possibly compacted)
@@ -60,21 +83,8 @@ fn push_gate_at(builder: &mut ProgramBuilder, gate: &BoundGate, q0: usize, q1: u
     let kind = gate.kind();
     match kind {
         GateKind::Cx => builder.cx(q0, q1),
-        _ if kind.arity() == 1 => {
-            let m = match kind.fixed_entries_1q() {
-                Some(cached) => *cached,
-                None => kind
-                    .entries_1q(gate.theta())
-                    .expect("one-qubit kind has 2x2 entries"),
-            };
-            builder.unitary_1q(q0, m);
-        }
-        _ => {
-            let m = kind
-                .entries_2q(gate.theta())
-                .expect("two-qubit kind has 4x4 entries");
-            builder.unitary_2q(q0, q1, m);
-        }
+        _ if kind.arity() == 1 => builder.unitary_1q(q0, entries_1q(gate)),
+        _ => builder.unitary_2q(q0, q1, entries_2q(gate)),
     }
 }
 
@@ -251,18 +261,217 @@ where
 {
     let mut builder = ProgramBuilder::new(compaction.n_active());
     for op in native.ops() {
-        let q = op.gate.qubits();
-        let c0 = compaction.compact(q[0]);
-        let c1 = compaction.compact(*q.last().expect("ops have operands"));
-        push_gate_at(&mut builder, &op.gate, c0, c1);
-        if let Some(lambda) = noise(op) {
-            match q.len() {
-                1 => builder.depolarize_1q(c0, lambda),
-                _ => builder.depolarize_2q(lambda, c0, c1),
-            }
-        }
+        push_native(&mut builder, compaction, op, noise(op));
     }
     builder.finish()
+}
+
+/// Where one native op's unitary landed in a fused program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// A CNOT: no matrix-table entry.
+    Cx,
+    /// An entry of the 2×2 table.
+    M2(u32),
+    /// An entry of the 4×4 table.
+    M4(u32),
+}
+
+/// Appends one native op and, for `Some(lambda)`, its depolarising channel
+/// on the compacted register — the step [`fuse_native_compacted`] takes
+/// per op. Returns the op's matrix slot and the channel's atom index
+/// (`None` when no channel atom was emitted).
+fn push_native(
+    builder: &mut ProgramBuilder,
+    compaction: &QubitCompaction,
+    op: &NativeOp,
+    lambda: Option<f64>,
+) -> (Slot, Option<usize>) {
+    let q = op.gate.qubits();
+    let c0 = compaction.compact(q[0]);
+    let c1 = compaction.compact(*q.last().expect("ops have operands"));
+    let slot = match op.gate.kind() {
+        GateKind::Cx => Slot::Cx,
+        kind if kind.arity() == 1 => Slot::M2(builder.n_m2s() as u32),
+        _ => Slot::M4(builder.n_m4s() as u32),
+    };
+    push_gate_at(builder, &op.gate, c0, c1);
+    let atom = builder.n_atoms();
+    if let Some(lambda) = lambda {
+        match q.len() {
+            1 => builder.depolarize_1q(c0, lambda),
+            _ => builder.depolarize_2q(lambda, c0, c1),
+        }
+    }
+    (slot, (builder.n_atoms() > atom).then_some(atom))
+}
+
+/// One native op of a [`DensityTemplate`]: the op at the template's
+/// vector, where its angle comes from, and where it landed.
+#[derive(Debug, Clone)]
+struct PlannedOp {
+    op: NativeOp,
+    source: AngleSource,
+    slot: Slot,
+    /// Atom index of the op's depolarising channel in the template.
+    channel: Option<usize>,
+}
+
+/// A structure's fused density program, compiled once and patched per
+/// probe.
+///
+/// Every parameter vector of one [`crate::template::StructureKey`] expands
+/// to the same native op sequence (only rotation angles and pulse counts
+/// change), so its fused programs share one layout of segments and atoms.
+/// A template holds the program fused at one vector and day
+/// ([`Self::program`]) plus, per native op, where its matrix and channel
+/// strength come from: the parameter and angle share
+/// ([`AngleSource`], recorded by the [`crate::expand::expand_sourced`]
+/// walk) or a fixed gate, and the table slot and channel atom the op
+/// landed in. [`Self::patch`] then computes another vector's and day's
+/// matrices and `λ`s straight into one lane of a
+/// [`quasim::fused::LaneTables`] — no native circuit, no program.
+///
+/// A patch equals [`fuse_native_compacted`] of the same vector and noise
+/// field by field, except where the fused program would have another
+/// shape: a matrix of another [`MatClass`], or a channel present on one
+/// side and clamped away (`λ = 0`) on the other. The patch detects exactly
+/// those cases and reports them, and the caller fuses in full instead
+/// (see the `fuse_props` property tests).
+///
+/// # Examples
+///
+/// ```
+/// use calibration::topology::Topology;
+/// use quasim::fused::LaneTables;
+/// use transpile::circuit::{Circuit, Param};
+/// use transpile::expand::expand;
+/// use transpile::fuse::{fuse_native_compacted, DensityTemplate, QubitCompaction};
+/// use transpile::route::route_identity;
+///
+/// let mut c = Circuit::new(2);
+/// c.ry(0, Param::Idx(0)).cry(0, 1, Param::Idx(1));
+/// let phys = route_identity(&c, &Topology::line(2));
+/// let compaction = QubitCompaction::identity(2);
+/// let noise = |op: &transpile::expand::NativeOp| Some(0.01 * f64::from(op.pulses + 1));
+/// let template = DensityTemplate::build(&phys, &[0.4, 1.3], &compaction, noise);
+///
+/// let mut tables = LaneTables::new();
+/// tables.reset(template.program(), 1);
+/// assert!(template.patch(&[2.2, -0.9], noise, &mut tables, 0));
+/// let scratch = fuse_native_compacted(&expand(&phys, &[2.2, -0.9]), &compaction, noise);
+/// assert_eq!(tables.lane_program(template.program(), 0), scratch);
+/// ```
+#[derive(Debug, Clone)]
+pub struct DensityTemplate {
+    program: FusedProgram,
+    ops: Vec<PlannedOp>,
+    /// Class of each 2×2 table entry's atom in `program`.
+    m2_classes: Vec<MatClass>,
+}
+
+impl DensityTemplate {
+    /// Expands `phys` at `theta` and fuses it with the channel strengths
+    /// `noise` assigns, as [`fuse_native_compacted`] does, recording every
+    /// op's sources on the way.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`crate::expand::expand`] and [`fuse_native_compacted`].
+    pub fn build<F>(
+        phys: &PhysicalCircuit,
+        theta: &[f64],
+        compaction: &QubitCompaction,
+        mut noise: F,
+    ) -> Self
+    where
+        F: FnMut(&NativeOp) -> Option<f64>,
+    {
+        let mut builder = ProgramBuilder::new(compaction.n_active());
+        let mut ops = Vec::with_capacity(phys.ops().len() * 2);
+        expand_sourced(phys, theta, |op, source| {
+            let lambda = noise(&op);
+            let (slot, channel) = push_native(&mut builder, compaction, &op, lambda);
+            ops.push(PlannedOp {
+                op,
+                source,
+                slot,
+                channel,
+            });
+        });
+        let program = builder.finish();
+        let mut m2_classes = vec![MatClass::General; program.n_m2s()];
+        for atom in program.atoms() {
+            if let FusedAtom::Unitary1 { m2, class } = *atom {
+                m2_classes[m2 as usize] = class;
+            }
+        }
+        DensityTemplate {
+            program,
+            ops,
+            m2_classes,
+        }
+    }
+
+    /// The program fused at the template's own vector and noise: the
+    /// shape every patched lane runs with.
+    pub fn program(&self) -> &FusedProgram {
+        &self.program
+    }
+
+    /// Writes the matrices and channel strengths of the program at
+    /// `theta` under `noise` into lane `lane` of `tables` (reset for
+    /// [`Self::program`]). Returns `false`, leaving the lane unspecified,
+    /// when that program does not have the template's shape — a matrix of
+    /// another class or a channel present on one side only — so the
+    /// caller must fuse it in full.
+    ///
+    /// `theta` must share the template's structure key (it keeps the same
+    /// ops); the program cache's grouping guarantees this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `theta` is too short or `lane` is out of range.
+    pub fn patch<F>(
+        &self,
+        theta: &[f64],
+        mut noise: F,
+        tables: &mut LaneTables,
+        lane: usize,
+    ) -> bool
+    where
+        F: FnMut(&NativeOp) -> Option<f64>,
+    {
+        for planned in &self.ops {
+            let fixed = planned.source == AngleSource::Fixed;
+            let rebound;
+            let op = if fixed {
+                &planned.op
+            } else {
+                rebound = planned.source.rebind(&planned.op, theta);
+                &rebound
+            };
+            match planned.slot {
+                Slot::Cx => {}
+                Slot::M2(i) if fixed => tables.set_m2(lane, i, self.program.m2(i)),
+                Slot::M2(i) => {
+                    let m = entries_1q(&op.gate);
+                    if classify2(&m) != self.m2_classes[i as usize] {
+                        return false;
+                    }
+                    tables.set_m2(lane, i, &m);
+                }
+                Slot::M4(i) if fixed => tables.set_m4(lane, i, self.program.m4(i)),
+                Slot::M4(i) => tables.set_m4(lane, i, &entries_2q(&op.gate)),
+            }
+            match (noise(op).and_then(channel_strength), planned.channel) {
+                (Some(lambda), Some(atom)) => tables.set_lambda(lane, atom, lambda),
+                (None, None) => {}
+                _ => return false,
+            }
+        }
+        true
+    }
 }
 
 /// [`fuse_native_compacted`] followed by bind-time precomposition

@@ -57,7 +57,7 @@ pub use circuit::{Circuit, Op, Param};
 pub use expand::{expand, NativeCircuit, NativeOp};
 pub use fuse::{
     fuse_gates, fuse_native, fuse_native_compacted, fuse_native_trajectory, fuse_ops,
-    QubitCompaction, SimOp,
+    DensityTemplate, QubitCompaction, SimOp,
 };
 pub use route::{route, route_identity, with_fixed_params, PhysicalCircuit};
 pub use template::{structure_key, CircuitTemplate, StructureKey};

@@ -182,36 +182,6 @@ impl CircuitTemplate {
     pub fn bind(&self, theta: &[f64]) -> NativeCircuit {
         expand(&self.phys, theta)
     }
-
-    /// Re-binds the template at every parameter vector of a probe batch —
-    /// the transpile half of the batched gradient engine in `qnn`: a
-    /// parameter-shift or SPSA sweep routes once (this template) and pays
-    /// only the linear expansion pass per probe.
-    ///
-    /// Every output element is exactly [`CircuitTemplate::bind`] of the
-    /// corresponding vector. In debug/test builds the key-sharing
-    /// precondition is asserted against `circuit`: each probe vector must
-    /// have this template's [`StructureKey`] (shift probes almost always
-    /// do; identity-crossing shifts change the key and must be compiled
-    /// under their own template, which the executor's program cache
-    /// handles).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vector is shorter than the circuit's parameter count.
-    pub fn bind_batch(&self, circuit: &Circuit, thetas: &[&[f64]], tol: f64) -> Vec<NativeCircuit> {
-        thetas
-            .iter()
-            .map(|theta| {
-                debug_assert_eq!(
-                    structure_key(circuit, theta, tol),
-                    self.key,
-                    "bind_batch probe does not share the template's structure key"
-                );
-                self.bind(theta)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -291,43 +261,6 @@ mod tests {
             &second,
         );
         assert_eq!(rebound, scratch);
-    }
-
-    #[test]
-    fn bind_batch_matches_per_probe_bind() {
-        let c = ladder();
-        let topo = Topology::ibm_belem();
-        let base = [0.3, 0.9, 1.4, 2.0, 0.7, 1.1, 2.8];
-        let template = CircuitTemplate::compile(&c, &topo, &base, ANGLE_TOL);
-        // A parameter-shift sweep: ± π/2 on each coordinate, none crossing
-        // an identity, so all probes share the template's key.
-        let mut probes: Vec<Vec<f64>> = Vec::new();
-        for i in 0..base.len() {
-            for sign in [1.0, -1.0] {
-                let mut t = base.to_vec();
-                t[i] += sign * FRAC_PI_2;
-                probes.push(t);
-            }
-        }
-        let refs: Vec<&[f64]> = probes.iter().map(Vec::as_slice).collect();
-        let batch = template.bind_batch(&c, &refs, ANGLE_TOL);
-        assert_eq!(batch.len(), probes.len());
-        for (native, theta) in batch.iter().zip(probes.iter()) {
-            assert_eq!(*native, template.bind(theta));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "structure key")]
-    #[cfg(debug_assertions)]
-    fn bind_batch_rejects_key_crossing_probe() {
-        let c = ladder();
-        let topo = Topology::ibm_belem();
-        let base = [0.3, 0.9, 1.4, 2.0, 0.7, 1.1, 2.8];
-        let template = CircuitTemplate::compile(&c, &topo, &base, ANGLE_TOL);
-        // Zeroing a parameter drops its op: a different structure.
-        let crossing = [0.0, 0.9, 1.4, 2.0, 0.7, 1.1, 2.8];
-        let _ = template.bind_batch(&c, &[&crossing], ANGLE_TOL);
     }
 
     #[test]

@@ -300,3 +300,192 @@ fn coverage_prefix_hits_every_atom_class() {
         .any(|a| matches!(a, FusedAtom::Depol2 { swapped: true, .. })));
     assert!(atoms.iter().any(|a| matches!(a, FusedAtom::Depol1 { .. })));
 }
+
+/// A parameterised gate of a random template circuit; gate `i` reads
+/// parameter `i`.
+#[derive(Debug, Clone, Copy)]
+enum TemplateGate {
+    Rot(u8, usize),
+    Ctrl(u8, usize, usize),
+    H(usize),
+    Cx(usize, usize),
+}
+
+impl TemplateGate {
+    /// The circuit kind whose identity angles drop the gate, if it reads
+    /// its parameter.
+    fn param_kind(self) -> Option<GateKind> {
+        match self {
+            TemplateGate::Rot(k, _) => Some([GateKind::Ry, GateKind::Rz, GateKind::Rx][k as usize]),
+            TemplateGate::Ctrl(k, _, _) => {
+                Some([GateKind::Cry, GateKind::Crz, GateKind::Crx][k as usize])
+            }
+            TemplateGate::H(_) | TemplateGate::Cx(..) => None,
+        }
+    }
+}
+
+fn arb_template_gate(n: usize) -> impl Strategy<Value = TemplateGate> {
+    (0usize..4, 0u8..3, 0usize..n, 0usize..n).prop_filter_map(
+        "distinct qubits for two-qubit gates",
+        |(class, kind, a, b)| match class {
+            0 => Some(TemplateGate::Rot(kind, a)),
+            1 if a != b => Some(TemplateGate::Ctrl(kind, a, b)),
+            2 => Some(TemplateGate::H(a)),
+            3 if a != b => Some(TemplateGate::Cx(a, b)),
+            _ => None,
+        },
+    )
+}
+
+fn template_circuit(gates: &[TemplateGate]) -> transpile::circuit::Circuit {
+    use transpile::circuit::{Circuit, Param};
+    let mut c = Circuit::new(N_QUBITS);
+    for (i, gate) in gates.iter().enumerate() {
+        let p = Param::Idx(i);
+        match *gate {
+            TemplateGate::Rot(0, q) => c.ry(q, p),
+            TemplateGate::Rot(1, q) => c.rz(q, p),
+            TemplateGate::Rot(_, q) => c.rx(q, p),
+            TemplateGate::Ctrl(0, a, b) => c.cry(a, b, p),
+            TemplateGate::Ctrl(1, a, b) => c.crz(a, b, p),
+            TemplateGate::Ctrl(_, a, b) => c.crx(a, b, p),
+            TemplateGate::H(q) => c.h(q),
+            TemplateGate::Cx(a, b) => c.cx(a, b),
+        };
+    }
+    c
+}
+
+/// Angles on every class the pipeline treats apart: signed zeros (the
+/// gate drops), quarter and half turns (one pulse), 2π/4π wraps, and
+/// generic values (two pulses).
+fn arb_template_angle() -> impl Strategy<Value = f64> {
+    use std::f64::consts::{FRAC_PI_2, PI, TAU};
+    prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        Just(FRAC_PI_2),
+        Just(-FRAC_PI_2),
+        Just(PI),
+        Just(-PI),
+        Just(3.0 * FRAC_PI_2),
+        Just(TAU),
+        Just(2.0 * TAU),
+        -7.0f64..7.0,
+    ]
+}
+
+/// One day's error rates: per qubit, then per coupling edge. Zeros drop
+/// channels; 0.7 makes a two-pulse channel clamp to λ = 1.
+fn arb_rates(n: usize) -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(
+        prop_oneof![Just(0.0), Just(0.7), 1e-4f64..0.05, 1e-4f64..0.05],
+        n,
+    )
+}
+
+/// Every field of two programs, bit for bit (`-0.0` and `0.0` differ).
+fn programs_bitwise_eq(a: &quasim::fused::FusedProgram, b: &quasim::fused::FusedProgram) -> bool {
+    use quasim::fused::FusedAtom;
+    let word = |atom: &FusedAtom| match *atom {
+        FusedAtom::Unitary1 { m2, class } => (1, u64::from(m2), class as u64),
+        FusedAtom::Depol1 { lambda } => (2, lambda.to_bits(), 0),
+        FusedAtom::Cx { control } => (3, control as u64, 0),
+        FusedAtom::Unitary2 { m4, swapped } => (4, u64::from(m4), u64::from(swapped)),
+        FusedAtom::Depol2 { lambda, swapped } => (5, lambda.to_bits(), u64::from(swapped)),
+    };
+    let bits = |m: &[quasim::math::Complex64]| -> Vec<(u64, u64)> {
+        m.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    };
+    a.n_qubits() == b.n_qubits()
+        && a.segments() == b.segments()
+        && a.atoms().iter().map(word).eq(b.atoms().iter().map(word))
+        && a.n_m2s() == b.n_m2s()
+        && a.n_m4s() == b.n_m4s()
+        && (0..a.n_m2s() as u32).all(|i| bits(a.m2(i)) == bits(b.m2(i)))
+        && (0..a.n_m4s() as u32).all(|i| bits(a.m4(i)) == bits(b.m4(i)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A density template patched at a second vector of its structure,
+    /// under a second day's error rates, writes exactly the program
+    /// `fuse_native_compacted` builds from scratch, field by field — and
+    /// reports a mismatch exactly when that program has another shape.
+    #[test]
+    fn patched_template_equals_from_scratch_fuse(
+        gates in proptest::collection::vec(arb_template_gate(N_QUBITS), 1..16),
+        first in proptest::collection::vec(arb_template_angle(), 16),
+        second in proptest::collection::vec(arb_template_angle(), 16),
+        signs in proptest::collection::vec(any::<bool>(), 16),
+        days in proptest::collection::vec(arb_rates(9), 2),
+        lane in 0usize..4,
+    ) {
+        use calibration::topology::Topology;
+        use quasim::fused::LaneTables;
+        use transpile::circuit::angle_is_identity;
+        use transpile::expand::{NativeOp, ANGLE_TOL};
+        use transpile::fuse::{fuse_native_compacted, DensityTemplate, QubitCompaction};
+        use transpile::template::{structure_key, CircuitTemplate};
+
+        let circuit = template_circuit(&gates);
+        let topo = Topology::ibm_belem();
+        // The second vector keeps the first one's dropped gates dropped
+        // (a signed zero) and its kept gates kept, so both share a key.
+        let mut second = second;
+        for (i, gate) in gates.iter().enumerate() {
+            let Some(kind) = gate.param_kind() else { continue };
+            let dropped = angle_is_identity(kind, first[i], ANGLE_TOL);
+            if dropped {
+                second[i] = if signs[i] { 0.0 } else { -0.0 };
+            } else if angle_is_identity(kind, second[i], ANGLE_TOL) {
+                second[i] = first[i];
+            }
+        }
+        let template = CircuitTemplate::compile(&circuit, &topo, &first, ANGLE_TOL);
+        prop_assert_eq!(structure_key(&circuit, &second, ANGLE_TOL), template.key().clone());
+
+        let native = template.bind(&first);
+        let keep: Vec<usize> = native.final_layout().to_vec();
+        let compaction = QubitCompaction::for_native(&native, &keep);
+        let noise = |rates: &[f64]| {
+            let topo = &topo;
+            let rates = rates.to_vec();
+            move |op: &NativeOp| {
+                let q = op.gate.qubits();
+                if op.is_entangler() {
+                    Some(rates[5 + topo.edge_index(q[0], q[1]).expect("routed onto an edge")])
+                } else if op.pulses > 0 {
+                    Some(f64::from(op.pulses) * rates[q[0]])
+                } else {
+                    None
+                }
+            }
+        };
+        let density = DensityTemplate::build(
+            template.physical(),
+            &first,
+            &compaction,
+            noise(&days[0]),
+        );
+        let shape = density.program();
+        prop_assert!(programs_bitwise_eq(
+            shape,
+            &fuse_native_compacted(&native, &compaction, noise(&days[0])),
+        ));
+
+        let scratch = fuse_native_compacted(&template.bind(&second), &compaction, noise(&days[1]));
+        let mut tables = LaneTables::new();
+        tables.reset(shape, 4);
+        let patched = density.patch(&second, noise(&days[1]), &mut tables, lane);
+        prop_assert_eq!(patched, scratch.same_shape(shape));
+        if patched {
+            prop_assert!(
+                programs_bitwise_eq(&tables.lane_program(shape, lane), &scratch),
+                "patched lane {} differs from the from-scratch fuse", lane
+            );
+        }
+    }
+}
