@@ -20,12 +20,12 @@
 //! one shape with per-lane operands written straight into
 //! [`crate::fused::LaneTables`].
 
+use crate::config::KernelMode;
 use crate::fused::{run_operands, FusedProgram, LaneTables};
 use crate::gate::BoundGate;
 use crate::math::{CMatrix, Complex64};
 use crate::noise::{apply_readout_to_distribution, KrausChannel, ReadoutError};
 use crate::statevector::StateVector;
-use crate::trajectory::KernelMode;
 use kernels::CLane;
 
 /// Largest register the dense density-matrix engine accepts: `ρ` costs
@@ -658,7 +658,7 @@ impl SimWorkspace {
         }
     }
 
-    /// Overrides the kernel dispatch ([`KernelMode::detect`] by default) —
+    /// Overrides the kernel compilation ([`KernelMode::detect`] by default) —
     /// how the bit-identity proptests pin the plain compilation against
     /// the AVX2 one on the same host.
     ///
@@ -666,11 +666,7 @@ impl SimWorkspace {
     ///
     /// Panics if `mode` is [`KernelMode::Avx2`] on a host without AVX2.
     pub fn set_kernel_mode(&mut self, mode: KernelMode) {
-        assert!(
-            mode == KernelMode::Scalar || KernelMode::avx2_supported(),
-            "AVX2 kernels requested on a host without AVX2"
-        );
-        self.kernel = mode;
+        self.kernel = mode.checked();
     }
 }
 

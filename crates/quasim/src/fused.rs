@@ -43,7 +43,7 @@
 //! one walk over the upper block triangle (plus mirror), shared by all
 //! widths, so a block load fetches the same entry of every lane and the
 //! lane arithmetic fills SIMD registers. An AVX2 compilation of the runner is chosen through
-//! [`crate::trajectory::KernelMode::detect`]; `QUCAD_FORCE_SCALAR` pins
+//! [`crate::config::KernelMode::detect`]; `QUCAD_FORCE_SCALAR` pins
 //! the plain one.
 //!
 //! Lanes change no bits: every lane operation performs, on each lane, the
@@ -62,10 +62,10 @@
 //! [`crate::density::SimWorkspace::run_lanes`] or
 //! [`crate::density::DensityMatrix::apply_fused`].
 
+use crate::config::KernelMode;
 use crate::density::kernels::{self, CLane, LaneStore, Lanes16, Lanes4};
 use crate::math::Complex64;
 pub use crate::math::{M2, M4};
-use crate::trajectory::KernelMode;
 
 /// Structural class of a 2×2 matrix, detected once at program build time
 /// so the kernels can use specialised conjugation paths (real matrices —
@@ -1007,11 +1007,9 @@ pub(crate) fn run_lanes<const B: usize, S: LaneStore<B> + ?Sized>(
 /// Runs `shape`'s segments and atoms with the lane operands `operands`
 /// (sized for `shape`) on the lane storage `data`.
 ///
-/// `kernel` picks the compilation: [`KernelMode::Avx2`] runs an AVX2
-/// compilation of the same code ([`KernelMode::detect`] picks it unless
-/// `QUCAD_FORCE_SCALAR` is set), [`KernelMode::Scalar`] the plain one.
-/// Both compile the identical lane expressions, which contain no FMA, so
-/// they agree bit for bit.
+/// `kernel` picks the compilation ([`KernelMode::run`]): both compile the
+/// identical lane expressions, which contain no FMA, so they agree bit for
+/// bit.
 pub(crate) fn run_operands<const B: usize, S: LaneStore<B> + ?Sized>(
     data: &mut S,
     shape: &FusedProgram,
@@ -1019,33 +1017,10 @@ pub(crate) fn run_operands<const B: usize, S: LaneStore<B> + ?Sized>(
     kernel: KernelMode,
 ) {
     let dim = 1usize << shape.n_qubits;
-    match kernel {
-        KernelMode::Scalar => run_segments(data, dim, shape, operands),
-        KernelMode::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2` is only constructed after `avx2_supported()`
-            // returned true (`detect` / `set_kernel_mode`), so the avx2
-            // target feature is available on this CPU.
-            unsafe {
-                run_segments_avx2(data, dim, shape, operands);
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("KernelMode::Avx2 cannot be constructed off x86_64");
-        }
-    }
-}
-
-/// [`run_segments`] compiled for AVX2, so the lane arithmetic becomes
-/// 4-wide vector instructions.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn run_segments_avx2<const B: usize, S: LaneStore<B> + ?Sized>(
-    data: &mut S,
-    dim: usize,
-    shape: &FusedProgram,
-    operands: &LaneOperands<B>,
-) {
-    run_segments(data, dim, shape, operands);
+    kernel.run(
+        #[inline(always)]
+        || run_segments(data, dim, shape, operands),
+    );
 }
 
 /// The fused-density runner: one block walk per segment of `shape`, every

@@ -58,8 +58,6 @@ pub mod fused;
 pub mod gate;
 pub mod math;
 pub mod noise;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod panel_simd;
 pub mod statevector;
 pub mod trajectory;
 pub mod verify;

@@ -50,10 +50,10 @@
 //! [`StateVector::expect_z`] of the dense run — the argument
 //! `quasim::density::kernels` makes for [`crate::fused::MatClass`].
 
+use crate::config::KernelMode;
 use crate::density::kernels::{insert_zero_bit, CLane, Lanes16, Lanes4};
 use crate::gate::{BoundGate, GateEntries};
 use crate::math::{Complex64, M2, M4};
-use crate::trajectory::KernelMode;
 
 /// A pure quantum state over `n` qubits.
 ///
@@ -474,11 +474,7 @@ impl<const B: usize> StatePanel<B> {
     ///
     /// Panics if `mode` is [`KernelMode::Avx2`] on a host without AVX2.
     pub fn set_kernel_mode(&mut self, mode: KernelMode) {
-        assert!(
-            mode == KernelMode::Scalar || KernelMode::avx2_supported(),
-            "AVX2 kernels requested on a host without AVX2"
-        );
-        self.kernel = mode;
+        self.kernel = mode.checked();
     }
 
     /// Applies `gates` in order, dispatching the kernel compilation once
@@ -491,20 +487,11 @@ impl<const B: usize> StatePanel<B> {
         for g in gates {
             assert!(g.top_qubit() < self.n_qubits, "qubit out of range");
         }
-        match self.kernel {
-            KernelMode::Scalar => run_gates(&mut self.amps[..], gates),
-            KernelMode::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `Avx2` is only constructed once `avx2_supported()`
-                // returned true (`detect` / `set_kernel_mode`), so this CPU
-                // has the avx2 target feature.
-                unsafe {
-                    run_gates_avx2(&mut self.amps[..], gates);
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                unreachable!("KernelMode::Avx2 cannot be constructed off x86_64");
-            }
-        }
+        let amps = &mut self.amps[..];
+        self.kernel.run(
+            #[inline(always)]
+            || run_gates(amps, gates),
+        );
     }
 
     /// Per lane, `⟨Z_q⟩ = P(0) − P(1)`, bitwise equal to
@@ -547,14 +534,6 @@ impl<const B: usize> LaneAmp<B> for CLane<B> {
     fn store(v: CLane<B>) -> Self {
         v
     }
-}
-
-/// [`run_gates`] compiled for AVX2, so the lane arithmetic becomes
-/// 4-wide vector instructions.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn run_gates_avx2<const B: usize>(amps: &mut [CLane<B>], gates: &[LaneGate<B>]) {
-    run_gates(amps, gates);
 }
 
 /// Applies every gate in order. Everything below it is forced inline
@@ -697,9 +676,9 @@ fn prob_one_lanes<const B: usize, T: LaneAmp<B>>(amps: &[T], q: usize) -> [f64; 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::KernelMode;
     use crate::gate::{GateKind, ALL_KINDS};
     use crate::math::CMatrix;
-    use crate::trajectory::KernelMode;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::f64::consts::PI;

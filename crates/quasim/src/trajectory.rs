@@ -94,6 +94,7 @@
 //! assert!((est.p_one[0] - 0.5).abs() < 0.15);
 //! ```
 
+use crate::config::KernelMode;
 use crate::density::kernels::insert_zero_bit;
 use crate::fused::{FusedAtom, FusedProgram, MatClass, Segment, Support, Wire};
 use crate::math::{Complex64, M2, M4};
@@ -495,8 +496,9 @@ pub const MAX_PANEL_WIDTH: usize = 4096;
 
 /// Columns the auto width never drops below: the tiled passes touch a
 /// fixed working-set strip (a handful of `TILE_ELEMS`-sized strips per
-/// plane) regardless of the register size, and the explicit-SIMD kernels
-/// want at least one full 4-lane AVX2 vector of adjacent columns.
+/// plane) regardless of the register size, and the vectorised pair and
+/// quartet loops want at least one full 4-lane AVX2 vector of adjacent
+/// columns.
 pub const MIN_AUTO_PANEL_WIDTH: usize = 4;
 
 /// Streaming budget of one panel, in bytes: the trajectory panel's auto
@@ -554,61 +556,6 @@ fn panel_width_from_value(value: Option<&str>, n_qubits: usize, n_trajectories: 
         None => auto_panel_width(n_qubits),
     };
     width.min((n_trajectories.max(1)) as usize)
-}
-
-/// Which implementation the panel's one- and two-qubit unitary kernels
-/// dispatch to. Both arms compute the identical IEEE-754 result for every
-/// element: the AVX2 kernels (see `panel_simd`) use only 4-lane multiply,
-/// add, and subtract — never FMA — in the exact association order of the
-/// scalar expressions, so lane `j` of the vector loop performs the very
-/// operations the scalar loop performs at index `j`. The scalar kernels
-/// are therefore the bit-identity *oracle* for the SIMD ones (asserted by
-/// the `panel_props` proptests), not a fallback with looser semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Portable scalar kernels (the bit-identity oracle; always
-    /// available).
-    Scalar,
-    /// Explicit 4-lane AVX2 kernels (x86_64 hosts with AVX2 only; jumps
-    /// and strip swaps stay scalar — they are sparse column walks).
-    Avx2,
-}
-
-impl KernelMode {
-    /// Runtime-detected default: [`KernelMode::Avx2`] when the host CPU
-    /// supports it, unless `QUCAD_FORCE_SCALAR` is set to anything but
-    /// `0` or whitespace (the escape hatch CI uses to pin the scalar
-    /// oracle leg). Detected once per process.
-    pub fn detect() -> KernelMode {
-        static MODE: std::sync::OnceLock<KernelMode> = std::sync::OnceLock::new();
-        *MODE.get_or_init(|| {
-            // audited entry point: forces the scalar bit-identity oracle
-            // qucad-lint: allow(env-read) — kernels (QUCAD_FORCE_SCALAR)
-            let forced = std::env::var("QUCAD_FORCE_SCALAR").is_ok_and(|v| {
-                let v = v.trim();
-                !v.is_empty() && v != "0"
-            });
-            if !forced && KernelMode::avx2_supported() {
-                return KernelMode::Avx2;
-            }
-            KernelMode::Scalar
-        })
-    }
-
-    /// Whether this host can run the AVX2 kernels. The result is what
-    /// makes constructing [`KernelMode::Avx2`] sound: every site that
-    /// produces the variant checks it first, so dispatch may call the
-    /// `#[target_feature(enable = "avx2")]` kernels without re-testing.
-    pub fn avx2_supported() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
 }
 
 /// Union-support cap of a panel supergroup: consecutive fused segments are
@@ -790,7 +737,7 @@ struct Chain<'a> {
 /// trajectory while the inner loops are branch-free contiguous `f64`
 /// sweeps that vectorise.
 #[inline(always)]
-pub(crate) fn unitary1_inner(
+fn unitary1_inner(
     m: &M2,
     class: MatClass,
     r0: &mut [f64],
@@ -865,58 +812,79 @@ fn jump1_column(
 /// Planar quartet tile: the four strips of both planes, in quartet order
 /// (`[00, 01, 10, 11]` in the atom's segment `(A, B)` wire basis, wire
 /// `A` the most significant bit).
-pub(crate) struct Quartet<'a> {
-    pub(crate) r: [&'a mut [f64]; 4],
-    pub(crate) i: [&'a mut [f64]; 4],
+struct Quartet<'a> {
+    r: [&'a mut [f64]; 4],
+    i: [&'a mut [f64]; 4],
 }
 
 /// Applies one 4×4 unitary to a quartet tile, reading the quartet in the
-/// atom's own orientation order — expression-for-expression [`m4_on`]
-/// (accumulator starts at zero, `acc += m[r·4+c] · old[c]` in column
-/// order); `swapped` atoms read/write the quartet through the
-/// `[0, 2, 1, 3]` orientation permutation (as in `quasim::fused`).
+/// atom's own orientation order: `swapped` atoms read/write the quartet
+/// through the `[0, 2, 1, 3]` orientation permutation (as in
+/// `quasim::fused`).
 #[inline(always)]
-pub(crate) fn unitary2_inner(m: &M4, swapped: bool, g: &mut Quartet<'_>) {
-    let len = g.r[0].len();
-    let map: [usize; 4] = if swapped { [0, 2, 1, 3] } else { [0, 1, 2, 3] };
+fn unitary2_inner(m: &M4, swapped: bool, g: &mut Quartet<'_>) {
+    let Quartet {
+        r: [r0, r1, r2, r3],
+        i: [i0, i1, i2, i3],
+    } = g;
+    let (r1, r2, i1, i2) = if swapped {
+        (r2, r1, i2, i1)
+    } else {
+        (r1, r2, i1, i2)
+    };
+    unitary2_planes(m, r0, r1, r2, r3, i0, i1, i2, i3);
+}
+
+/// The quartet kernel over its eight planar strips, in orientation order —
+/// expression-for-expression [`m4_on`] (accumulator starts at zero,
+/// `acc += m[r·4+c] · old[c]` in column order). The strips are separate
+/// `&mut` parameters so the compiler knows they do not alias and
+/// vectorises the loop without runtime overlap checks.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn unitary2_planes(
+    m: &M4,
+    r0: &mut [f64],
+    r1: &mut [f64],
+    r2: &mut [f64],
+    r3: &mut [f64],
+    i0: &mut [f64],
+    i1: &mut [f64],
+    i2: &mut [f64],
+    i3: &mut [f64],
+) {
+    // A local copy: the table the matrix comes from could alias the
+    // strips as far as the compiler knows, which would keep the loop from
+    // vectorising.
+    let m = *m;
+    let len = r0.len();
+    let (r1, r2, r3) = (&mut r1[..len], &mut r2[..len], &mut r3[..len]);
+    let (i0, i1, i2, i3) = (
+        &mut i0[..len],
+        &mut i1[..len],
+        &mut i2[..len],
+        &mut i3[..len],
+    );
     for j in 0..len {
         let old = [
-            (g.r[map[0]][j], g.i[map[0]][j]),
-            (g.r[map[1]][j], g.i[map[1]][j]),
-            (g.r[map[2]][j], g.i[map[2]][j]),
-            (g.r[map[3]][j], g.i[map[3]][j]),
+            (r0[j], i0[j]),
+            (r1[j], i1[j]),
+            (r2[j], i2[j]),
+            (r3[j], i3[j]),
         ];
-        for r in 0..4 {
-            let mut ar = 0.0f64;
-            let mut ai = 0.0f64;
+        let row = |r: usize| {
+            let (mut ar, mut ai) = (0.0f64, 0.0f64);
             for (c, &(or_, oi)) in old.iter().enumerate() {
                 let e = m[r * 4 + c];
                 ar += e.re * or_ - e.im * oi;
                 ai += e.re * oi + e.im * or_;
             }
-            g.r[map[r]][j] = ar;
-            g.i[map[r]][j] = ai;
-        }
-    }
-}
-
-/// Dispatches one 4×4 unitary quartet application to the selected kernel
-/// (both arms are bit-identical; see [`KernelMode`]).
-#[inline(always)]
-fn apply_unitary2(kernel: KernelMode, m: &M4, swapped: bool, g: &mut Quartet<'_>) {
-    match kernel {
-        KernelMode::Scalar => unitary2_inner(m, swapped, g),
-        KernelMode::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2` is only constructed after `avx2_supported()`
-            // returned true (`detect` / `set_kernel_mode`), so the avx2
-            // target feature is available on this CPU.
-            unsafe {
-                crate::panel_simd::unitary2_avx2(m, swapped, g);
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("KernelMode::Avx2 cannot be constructed off x86_64");
-        }
+            (ar, ai)
+        };
+        (r0[j], i0[j]) = row(0);
+        (r1[j], i1[j]) = row(1);
+        (r2[j], i2[j]) = row(2);
+        (r3[j], i3[j]) = row(3);
     }
 }
 
@@ -1000,7 +968,7 @@ const MAX_STRIPS: usize = 1 << SUPERGROUP_CAP;
 
 /// Reusable span-plan buffers of a [`Window`].
 #[derive(Debug, Clone, Default)]
-pub(crate) struct SpanPlans {
+struct SpanPlans {
     pairs: Vec<Span<2>>,
     quartets: Vec<Span<4>>,
 }
@@ -1035,7 +1003,7 @@ struct WindowScratch {
 /// in exactly one span and one role, so the runs of one span are disjoint
 /// from each other; every span handed to a kernel is checked to lie
 /// inside both planes.
-pub(crate) struct Window<'a> {
+struct Window<'a> {
     re: *mut f64,
     im: *mut f64,
     /// Elements per plane.
@@ -1070,7 +1038,7 @@ impl<'a> Window<'a> {
     /// Panics if the planes differ in length; a kernel call panics if its
     /// span escapes them.
     // SAFETY: see `# Safety`; the window's spans rely on that contract.
-    pub(crate) unsafe fn new(
+    unsafe fn new(
         re: &'a mut [f64],
         im: &'a mut [f64],
         strides: &[usize],
@@ -1126,7 +1094,7 @@ impl<'a> Window<'a> {
     /// Plans the strip pairs `(x, x | wm)` of every `x` without the `wm`
     /// bit (a one-qubit atom on that wire, first strip first); returns the
     /// number of spans, each one [`Self::pair`].
-    pub(crate) fn plan_pairs(&mut self, wm: usize) -> usize {
+    fn plan_pairs(&mut self, wm: usize) -> usize {
         let mut tuples = [[0usize; 2]; MAX_STRIPS / 2];
         for (t, x) in tuples
             .iter_mut()
@@ -1146,7 +1114,7 @@ impl<'a> Window<'a> {
     /// Span `i` of the current pair plan as the four planar slices the
     /// pair kernels take.
     #[inline(always)]
-    pub(crate) fn pair(&mut self, i: usize) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
+    fn pair(&mut self, i: usize) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
         let Span { at, len } = self.plans.pairs[i];
         // SAFETY: the two runs of one span belong to two distinct strips
         // of the plan (disjoint, see the struct invariant) and are
@@ -1222,33 +1190,17 @@ impl<'a> Window<'a> {
 /// pair kernels over the strip pairs of their wire, two-qubit atoms run
 /// the exact quartet kernels over the quartets spanned by their wires,
 /// CNOTs permute the strip references (materialised once at chain end).
-/// Each atom's kernel walks the window's span plan inside its own
-/// dispatch.
+/// Each atom's kernel walks the window's span plan.
 #[inline(always)]
-fn chain_window(kernel: KernelMode, chain: &Chain<'_>, o: &mut Window<'_>, b: usize) {
+fn chain_window(chain: &Chain<'_>, o: &mut Window<'_>, b: usize) {
     let row = |at: usize| &chain.rows[at..at + b];
     for pass in chain.passes {
         match *pass {
             Pass::Unitary1(m2, class, wb) => {
                 let (m, wm) = (chain.program.m2(m2), 1usize << wb);
-                match kernel {
-                    KernelMode::Scalar => {
-                        for i in 0..o.plan_pairs(wm) {
-                            let (r0, i0, r1, i1) = o.pair(i);
-                            unitary1_inner(m, class, r0, i0, r1, i1);
-                        }
-                    }
-                    KernelMode::Avx2 => {
-                        #[cfg(target_arch = "x86_64")]
-                        // SAFETY: `Avx2` is only constructed after
-                        // `avx2_supported()` returned true, so the avx2
-                        // target feature is available on this CPU.
-                        unsafe {
-                            crate::panel_simd::unitary1_window_avx2(m, class, o, wm);
-                        }
-                        #[cfg(not(target_arch = "x86_64"))]
-                        unreachable!("KernelMode::Avx2 cannot be constructed off x86_64");
-                    }
+                for i in 0..o.plan_pairs(wm) {
+                    let (r0, i0, r1, i1) = o.pair(i);
+                    unitary1_inner(m, class, r0, i0, r1, i1);
                 }
             }
             Pass::Jump1(at, wb) => {
@@ -1266,7 +1218,7 @@ fn chain_window(kernel: KernelMode, chain: &Chain<'_>, o: &mut Window<'_>, b: us
             Pass::Unitary2(m4, swapped, ab, bb) => {
                 let m = chain.program.m4(m4);
                 for i in 0..o.plan_quartets(1usize << ab, 1usize << bb) {
-                    apply_unitary2(kernel, m, swapped, &mut o.quartet(i));
+                    unitary2_inner(m, swapped, &mut o.quartet(i));
                 }
             }
             Pass::Jump2(at, swapped, ab, bb) => {
@@ -1301,8 +1253,8 @@ fn chain_window(kernel: KernelMode, chain: &Chain<'_>, o: &mut Window<'_>, b: us
 /// (the jump kernels map position `j` to column `j % b`, and every run
 /// starts at a multiple of `b`), so each element sees bit-for-bit the
 /// arithmetic of its own sub-block.
+#[inline(always)]
 fn run_pass(
-    kernel: KernelMode,
     re: &mut [f64],
     im: &mut [f64],
     b: usize,
@@ -1334,36 +1286,33 @@ fn run_pass(
     let runs_cap = (tile / len_cap).max(1);
     let WindowScratch { bases, plans } = scratch;
     bases.clear();
-    let mut run_window = |bases: &[usize], len: usize| {
-        // The walk below yields each sub-block start once, and the runs
-        // `start + home[x] .. + len` of all starts and strips tile the
-        // panel without overlap (each stride divides the next, as asserted
-        // above; a sub-block's runs are at most `s0` long).
-        // SAFETY: a window holds a subset of those runs, so they are
-        // pairwise disjoint.
-        let mut o = unsafe { Window::new(re, im, strides, bases, len, plans) };
-        chain_window(kernel, chain, &mut o, b);
-    };
     // Compressed offset → panel offset: one zero digit per wire stride.
     let expand = |x: usize| sorted.iter().fold(x, |x, &s| x / s * (2 * s) + x % s);
+    // A run of `s0` compressed offsets expands to one contiguous sub-block
+    // stretch; tile it. `None` marks the end, flushing the last window.
+    let sub_blocks = (0..total >> k).step_by(s0).flat_map(|run| {
+        (run..run + s0)
+            .step_by(len_cap)
+            .map(move |x| (expand(x), len_cap.min(run + s0 - x)))
+    });
     let mut window_len = len_cap;
-    for run in (0..total >> k).step_by(s0) {
-        // A run of `s0` compressed offsets expands to one contiguous
-        // sub-block stretch; tile it.
-        let mut x = run;
-        while x < run + s0 {
-            let len = len_cap.min(run + s0 - x);
-            if !bases.is_empty() && (len != window_len || bases.len() == runs_cap) {
-                run_window(bases, window_len);
-                bases.clear();
-            }
-            window_len = len;
-            bases.push(expand(x));
-            x += len;
+    for next in sub_blocks.map(Some).chain([None]) {
+        let full = next.is_none_or(|(_, len)| len != window_len || bases.len() == runs_cap);
+        if full && !bases.is_empty() {
+            // The walk yields each sub-block start once, and the runs
+            // `start + home[x] .. + len` of all starts and strips tile the
+            // panel without overlap (each stride divides the next, as
+            // asserted above; a sub-block's runs are at most `s0` long).
+            // SAFETY: a window holds a subset of those runs, so they are
+            // pairwise disjoint.
+            let mut o = unsafe { Window::new(re, im, strides, bases, window_len, plans) };
+            chain_window(chain, &mut o, b);
+            bases.clear();
         }
-    }
-    if !bases.is_empty() {
-        run_window(bases, window_len);
+        if let Some((start, len)) = next {
+            window_len = len;
+            bases.push(start);
+        }
     }
 }
 
@@ -1424,30 +1373,24 @@ impl Default for TrajectoryPanel {
 
 impl TrajectoryPanel {
     /// Creates an empty panel (no storage until the first reset), with
-    /// the kernel dispatch at [`KernelMode::detect`].
+    /// the kernel compilation at [`KernelMode::detect`].
     pub fn new() -> Self {
         TrajectoryPanel::default()
     }
 
-    /// The kernel implementation this panel's unitary passes dispatch to.
+    /// The kernel compilation this panel's passes run under.
     pub fn kernel_mode(&self) -> KernelMode {
         self.kernel
     }
 
-    /// Overrides the kernel dispatch — how the bit-identity proptests pin
-    /// the scalar oracle against the AVX2 kernels on the same host.
+    /// Overrides the kernel compilation — how the bit-identity proptests
+    /// pin the scalar oracle against the AVX2 compilation on the same host.
     ///
     /// # Panics
     ///
-    /// Panics if `mode` is [`KernelMode::Avx2`] on a host without AVX2
-    /// (constructing the variant without support would make the dispatch
-    /// helpers' SAFETY argument unsound).
+    /// Panics if `mode` is [`KernelMode::Avx2`] on a host without AVX2.
     pub fn set_kernel_mode(&mut self, mode: KernelMode) {
-        assert!(
-            mode == KernelMode::Scalar || KernelMode::avx2_supported(),
-            "AVX2 kernels requested on a host without AVX2"
-        );
-        self.kernel = mode;
+        self.kernel = mode.checked();
     }
 
     /// Re-initialises every column to `|0…0⟩` over `n_qubits`, reusing the
@@ -1603,14 +1546,10 @@ impl TrajectoryPanel {
                 program,
                 rows: &self.branch_rows,
             };
-            run_pass(
-                self.kernel,
-                &mut self.re,
-                &mut self.im,
-                b,
-                wires,
-                &chain,
-                &mut self.window,
+            let (re, im, window) = (&mut self.re, &mut self.im, &mut self.window);
+            self.kernel.run(
+                #[inline(always)]
+                || run_pass(re, im, b, wires, &chain, window),
             );
         }
         // Uniform-consumption invariant: the panel pass must drain exactly
@@ -2133,7 +2072,7 @@ mod tests {
         }
         let program = noisy_test_program();
         let n_stoch = program.n_stochastic_atoms();
-        // Width 7: exercises the SIMD kernels' scalar remainder tail.
+        // Width 7: exercises the vector loops' scalar remainder tail.
         let batch = 7usize;
         let mut rng = StdRng::seed_from_u64(21);
         let uniforms: Vec<f64> = (0..batch * n_stoch).map(|_| rng.gen()).collect();

@@ -5,10 +5,11 @@
 //! amplitudes.
 
 use proptest::prelude::*;
+use quasim::config::KernelMode;
 use quasim::fused::{FusedProgram, ProgramBuilder};
 use quasim::gate::GateKind;
 use quasim::trajectory::{
-    estimate_prob_one, estimate_prob_one_panel, supergroup_plan, KernelMode, TrajectoryPanel,
+    estimate_prob_one, estimate_prob_one_panel, supergroup_plan, TrajectoryPanel,
     TrajectoryWorkspace,
 };
 use rand::rngs::StdRng;
@@ -119,33 +120,37 @@ proptest! {
 
     /// Every panel column's final amplitudes equal the per-trajectory
     /// engine replaying the same draw sequence — the panel really is B
-    /// independent trajectories, not an approximation of them.
+    /// independent trajectories, not an approximation of them. The drawn
+    /// program runs as built and precomposed, as production runs it, so
+    /// dense 4×4s (products of several factors) are covered too.
     #[test]
     fn panel_columns_bit_identical_to_sequential_runs(
         specs in proptest::collection::vec(arb_atom(N_QUBITS), 1..25),
         seed in any::<u64>(),
         batch in 1usize..12,
     ) {
-        let program = build_program(&specs);
-        let n_stoch = program.n_stochastic_atoms();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let uniforms: Vec<f64> = (0..batch * n_stoch).map(|_| rng.gen()).collect();
+        let built = build_program(&specs);
+        for program in [built.precompose(), built] {
+            let n_stoch = program.n_stochastic_atoms();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let uniforms: Vec<f64> = (0..batch * n_stoch).map(|_| rng.gen()).collect();
 
-        let mut panel = TrajectoryPanel::new();
-        panel.reset_zero(N_QUBITS, batch);
-        panel.run_stochastic(&program, &uniforms);
+            let mut panel = TrajectoryPanel::new();
+            panel.reset_zero(N_QUBITS, batch);
+            panel.run_stochastic(&program, &uniforms);
 
-        let mut replay = StdRng::seed_from_u64(seed);
-        let mut ws = TrajectoryWorkspace::new();
-        for c in 0..batch {
-            ws.reset_zero(N_QUBITS);
-            ws.run_stochastic(&program, &mut replay);
-            let col = panel.column(c);
-            for (i, (a, b)) in col.iter().zip(ws.amplitudes().iter()).enumerate() {
-                prop_assert!(
-                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-                    "column {} amplitude {}: {} vs {}", c, i, a, b
-                );
+            let mut replay = StdRng::seed_from_u64(seed);
+            let mut ws = TrajectoryWorkspace::new();
+            for c in 0..batch {
+                ws.reset_zero(N_QUBITS);
+                ws.run_stochastic(&program, &mut replay);
+                let col = panel.column(c);
+                for (i, (a, b)) in col.iter().zip(ws.amplitudes().iter()).enumerate() {
+                    prop_assert!(
+                        a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                        "column {} amplitude {}: {} vs {}", c, i, a, b
+                    );
+                }
             }
         }
     }
@@ -309,11 +314,13 @@ proptest! {
         }
     }
 
-    /// The AVX2 kernels are a bit-exact drop-in for the scalar oracle: on
-    /// hosts with AVX2, running the same program over the same draw
-    /// sequence under both dispatch modes yields bitwise-equal panels at
-    /// every width (the intrinsics use only mul/add/sub in the scalar
-    /// association order, so this holds exactly, not approximately).
+    /// The AVX2 compilation is a bit-exact drop-in for the scalar oracle:
+    /// on hosts with AVX2, running the same program over the same draw
+    /// sequence under both kernel modes yields bitwise-equal panels at
+    /// every width, ragged 4-lane remainders included (the kernels use
+    /// only mul/add/sub, so vectorising them keeps each element's
+    /// operations). The drawn program runs as built and precomposed, so
+    /// both swapped quartets and dense 4×4s are covered.
     #[test]
     fn scalar_and_avx2_panels_bit_identical(
         specs in proptest::collection::vec(arb_atom(N_QUBITS), 1..25),
@@ -321,28 +328,26 @@ proptest! {
         batch in 1usize..12,
     ) {
         if KernelMode::avx2_supported() {
-            let program = build_program(&specs);
-            let n_stoch = program.n_stochastic_atoms();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let uniforms: Vec<f64> = (0..batch * n_stoch).map(|_| rng.gen()).collect();
-
-            let mut scalar = TrajectoryPanel::new();
-            scalar.set_kernel_mode(KernelMode::Scalar);
-            scalar.reset_zero(N_QUBITS, batch);
-            scalar.run_stochastic(&program, &uniforms);
-
-            let mut avx2 = TrajectoryPanel::new();
-            avx2.set_kernel_mode(KernelMode::Avx2);
-            avx2.reset_zero(N_QUBITS, batch);
-            avx2.run_stochastic(&program, &uniforms);
-
-            for c in 0..batch {
-                let (s, v) = (scalar.column(c), avx2.column(c));
-                for (i, (a, b)) in s.iter().zip(v.iter()).enumerate() {
-                    prop_assert!(
-                        a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-                        "column {} amplitude {}: scalar {} vs avx2 {}", c, i, a, b
-                    );
+            let built = build_program(&specs);
+            for program in [built.precompose(), built] {
+                let n_stoch = program.n_stochastic_atoms();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let uniforms: Vec<f64> = (0..batch * n_stoch).map(|_| rng.gen()).collect();
+                let [scalar, avx2] = [KernelMode::Scalar, KernelMode::Avx2].map(|mode| {
+                    let mut panel = TrajectoryPanel::new();
+                    panel.set_kernel_mode(mode);
+                    panel.reset_zero(N_QUBITS, batch);
+                    panel.run_stochastic(&program, &uniforms);
+                    panel
+                });
+                for c in 0..batch {
+                    let (s, v) = (scalar.column(c), avx2.column(c));
+                    for (i, (a, b)) in s.iter().zip(v.iter()).enumerate() {
+                        prop_assert!(
+                            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                            "column {} amplitude {}: scalar {} vs avx2 {}", c, i, a, b
+                        );
+                    }
                 }
             }
         }

@@ -4,9 +4,9 @@
 //! state, across random circuits, angles, noise strengths, and supports.
 
 use proptest::prelude::*;
+use quasim::config::KernelMode;
 use quasim::density::{DensityMatrix, SimWorkspace};
 use quasim::gate::{BoundGate, GateKind};
-use quasim::trajectory::KernelMode;
 use transpile::fuse::{fuse_ops, SimOp};
 
 const N_QUBITS: usize = 4;

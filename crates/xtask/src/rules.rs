@@ -1,6 +1,6 @@
 //! The qucad-lint rule catalogue.
 //!
-//! Five rules guard the properties the reproduction's bit-identity
+//! Six rules guard the properties the reproduction's bit-identity
 //! contract depends on (see README "Correctness tooling"):
 //!
 //! - `hash-iter` — no iteration over `HashMap`/`HashSet` contents in
@@ -19,6 +19,11 @@
 //! - `env-read` — `env::var` reads only at the audited configuration
 //!   entry points (each carries an allow annotation); scattered env reads
 //!   make results depend on invisible ambient state.
+//! - `target-feature` — no `target_feature`, `core::arch` or `std::arch`
+//!   outside the one audited AVX2 dispatch (`quasim::config`): kernels
+//!   are written once as plain Rust and compiled twice through it, so a
+//!   hand-written intrinsic copy, whose bit-identity to the plain kernel
+//!   nothing checks by construction, cannot land unaudited.
 //!
 //! Audited exceptions: `// qucad-lint: allow(<rule>)` on the offending
 //! line or the line above. Unused annotations are themselves findings.
@@ -26,12 +31,13 @@
 use crate::scan::{find_token, has_token, FileView, Finding};
 
 /// Canonical rule names (the alphabet accepted by allow annotations).
-pub const RULE_NAMES: [&str; 5] = [
+pub const RULE_NAMES: [&str; 6] = [
     "hash-iter",
     "wall-clock",
     "adhoc-rng",
     "unsafe-safety",
     "env-read",
+    "target-feature",
 ];
 
 /// Maps an annotation name onto its canonical `&'static str`, if valid.
@@ -63,6 +69,12 @@ pub fn check_all(view: &FileView<'_>) -> Vec<Finding> {
     }
     out.extend(unsafe_safety(view));
     out.extend(env_read(view));
+    out.extend(token_rule(
+        view,
+        "target-feature",
+        &["target_feature", "core::arch", "std::arch"],
+        "CPU-feature code outside the audited dispatch (compile the plain kernel twice)",
+    ));
     out
 }
 
@@ -311,6 +323,24 @@ mod tests {
     fn forbid_unsafe_code_attribute_is_not_an_unsafe_token() {
         let src = "#![forbid(unsafe_code)]\n";
         assert!(scan_file("crates/qnn/src/lib.rs", src).is_empty());
+    }
+
+    #[test]
+    fn cpu_feature_code_needs_an_audited_annotation() {
+        let src = "#[target_feature(enable = \"avx2\")]\n\
+                   fn f() { use core::arch::x86_64::_mm256_add_pd; }\n\
+                   fn g() -> bool { std::arch::is_x86_feature_detected!(\"avx2\") }\n\
+                   #[cfg(target_arch = \"x86_64\")] fn h() {}\n";
+        let findings = scan_file("crates/quasim/src/x.rs", src);
+        assert_eq!(findings.len(), 3);
+        assert!(findings.iter().all(|f| f.rule == "target-feature"));
+        assert_eq!(
+            findings.iter().map(|f| f.line).collect::<Vec<_>>(),
+            [1, 2, 3]
+        );
+        let marker = format!("// qucad-lint: {}", "allow(target-feature)");
+        let ok = format!("#[target_feature(enable = \"avx2\")] {marker}\nfn f() {{}}\n");
+        assert!(scan_file("crates/quasim/src/x.rs", &ok).is_empty());
     }
 
     #[test]
