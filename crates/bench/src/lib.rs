@@ -214,6 +214,7 @@ impl Experiment {
         )
         .weights;
 
+        let rule = SelectionRule::Threshold(task.admm_threshold());
         let admm = match scale {
             Scale::Quick => AdmmConfig {
                 rounds: 4,
@@ -221,6 +222,7 @@ impl Experiment {
                 batch_size: 8,
                 finetune_pure_epochs: 1,
                 finetune_steps: 15,
+                rule,
                 ..AdmmConfig::default()
             },
             Scale::Standard => AdmmConfig {
@@ -229,7 +231,7 @@ impl Experiment {
                 batch_size: 12,
                 finetune_pure_epochs: 2,
                 finetune_steps: 40,
-                rule: SelectionRule::Threshold(0.05),
+                rule,
                 ..AdmmConfig::default()
             },
             Scale::Paper => AdmmConfig {
@@ -238,12 +240,10 @@ impl Experiment {
                 batch_size: 16,
                 finetune_pure_epochs: 3,
                 finetune_steps: 60,
-                rule: SelectionRule::Threshold(0.05),
+                rule,
                 ..AdmmConfig::default()
             },
         };
-        let mut admm = admm;
-        admm.rule = SelectionRule::Threshold(task.admm_threshold());
         let qucad_config = QucadConfig {
             k: 6,
             admm,

@@ -250,22 +250,6 @@ impl FluctuatingHistory {
         }
     }
 
-    /// Wraps pre-existing snapshots (useful for tests / real data import).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offline_days > snapshots.len()`.
-    pub fn from_snapshots(snapshots: Vec<CalibrationSnapshot>, offline_days: usize) -> Self {
-        assert!(
-            offline_days <= snapshots.len(),
-            "split exceeds history length"
-        );
-        FluctuatingHistory {
-            snapshots,
-            offline_days,
-        }
-    }
-
     /// All snapshots in day order.
     pub fn snapshots(&self) -> &[CalibrationSnapshot] {
         &self.snapshots

@@ -103,11 +103,6 @@ impl CompressionTable {
         (best.0, best.1)
     }
 
-    /// Distances `d_i` for a whole parameter vector (the paper's table `D`).
-    pub fn distances(&self, theta: &[f64]) -> Vec<f64> {
-        theta.iter().map(|&t| self.nearest(t).1).collect()
-    }
-
     /// Nearest levels for a whole parameter vector (the paper's `T_admm`).
     pub fn snap_all(&self, theta: &[f64]) -> Vec<f64> {
         theta.iter().map(|&t| self.nearest(t).0).collect()

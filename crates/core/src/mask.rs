@@ -121,19 +121,6 @@ pub fn priorities(
         .collect()
 }
 
-/// One-call mask generation: priorities then selection.
-pub fn noise_aware_mask(
-    theta: &[f64],
-    assocs: &[GateAssoc],
-    snapshot: &CalibrationSnapshot,
-    topology: &Topology,
-    table: &CompressionTable,
-    rule: SelectionRule,
-) -> Vec<bool> {
-    let p = priorities(theta, assocs, snapshot, topology, table, true);
-    rule.select(&p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -71,11 +71,6 @@ impl Dataset {
         }
     }
 
-    /// Test labels in order.
-    pub fn test_labels(&self) -> Vec<usize> {
-        self.test.iter().map(|s| s.label).collect()
-    }
-
     /// Fisher's Iris: 150 samples, 4 features, 3 classes, shuffled with
     /// `seed` and split 100 train / 50 test (the paper's 66.6% / 33.4%).
     pub fn iris(seed: u64) -> Dataset {

@@ -42,10 +42,11 @@
 //!   matrices, same-support runs collapsed into single passes — into a
 //!   [`DensityTemplate`] kept with the cached structure; every probe then
 //!   patches its own matrices and channel strengths into one lane of the
-//!   template's operand tables and runs on a per-executor reusable
-//!   [`SimWorkspace`], so the simulation itself performs no per-gate
-//!   allocation and each worker reuses its density-matrix storage across
-//!   the probes of a call. Results are **bit-identical** to the op-by-op
+//!   template's operand tables and runs on a reusable [`SimWorkspace`]
+//!   that each fan-out worker owns, so the simulation itself performs no
+//!   per-gate allocation and each worker reuses its density-matrix
+//!   storage across the probes of a call. Results are **bit-identical**
+//!   to the op-by-op
 //!   reference path ([`NoisyExecutor::z_scores_seeded_unfused`]), which is
 //!   retained as the differential-testing oracle. Capped at
 //!   [`quasim::density::MAX_DENSITY_QUBITS`] active qubits.
@@ -55,8 +56,8 @@
 //!   runs of consecutive same-support unitaries collapse into single
 //!   matrices) — is unraveled into
 //!   [`NoiseOptions::trajectories`] stochastic pure-state trajectories,
-//!   executed in batched panels on a per-executor reusable
-//!   [`TrajectoryPanel`] (each fused op applied once across the whole
+//!   executed in batched panels on a reusable [`TrajectoryPanel`] that
+//!   each fan-out worker owns (each fused op applied once across the whole
 //!   panel; width from `QUCAD_TRAJ_BATCH`, default auto); per-qubit `P(1)`
 //!   is the trajectory average, an unbiased estimate of the exact channel
 //!   average at O(2^n) per trajectory. This unlocks devices beyond the
@@ -468,6 +469,14 @@ impl ProgramCacheHandle {
 /// A model routed onto a device, ready for noisy evaluation under any
 /// calibration snapshot.
 ///
+/// An executor is compiled state only: the model, the device, the routed
+/// circuit, the noise options and a handle to the shared program cache.
+/// It holds no simulation storage, so it is `Send + Sync` and one
+/// executor serves any number of threads by reference; each fan-out
+/// worker owns its own scratch (density workspace, lane operand tables
+/// and trajectory panel) for the span of one call. A clone copies the
+/// compiled state and shares the program cache.
+///
 /// # Examples
 ///
 /// ```
@@ -489,22 +498,26 @@ pub struct NoisyExecutor {
     topology: Topology,
     phys: PhysicalCircuit,
     options: NoiseOptions,
-    /// Reusable density-matrix storage: one allocation per executor clone
-    /// (i.e. per worker thread), reused across every evaluation it runs.
-    workspace: std::cell::RefCell<SimWorkspace>,
-    /// Reusable lane operand tables the density arm patches probes into.
-    lane_tables: std::cell::RefCell<LaneTables>,
-    /// Reusable batched trajectory storage, the trajectory backend's
-    /// counterpart of `workspace`: one panel allocation per executor
-    /// clone, reused across every chunk of every evaluation.
-    traj_panel: std::cell::RefCell<TrajectoryPanel>,
     /// Compile-once/rebind-many program cache: simplify + route run once
     /// per circuit structure; later evaluations re-bind angles (per
     /// sample) and noise strengths (per day) with linear passes only.
     /// Cloned executors **share** this cache (the handle is `Arc`-backed),
-    /// so worker fan-outs and serving tenants warm one another and the
-    /// hit/miss counters aggregate across clones.
+    /// so executors built on one handle warm one another and the hit/miss
+    /// counters aggregate across them.
     cache: ProgramCacheHandle,
+}
+
+/// One fan-out worker's reusable simulation storage, made inside the
+/// worker for one [`NoisyExecutor::evaluate_probes_over_days`] call and
+/// reused across every probe of its chunk.
+#[derive(Default)]
+struct Scratch {
+    /// Density-matrix storage the density arm runs lanes on.
+    ws: SimWorkspace,
+    /// Lane operand tables the density arm patches probes into.
+    tables: LaneTables,
+    /// Batched trajectory storage, the trajectory arm's counterpart.
+    panel: TrajectoryPanel,
 }
 
 impl NoisyExecutor {
@@ -518,9 +531,9 @@ impl NoisyExecutor {
     }
 
     /// [`Self::new`] with an explicit program cache, so independently
-    /// constructed executors (e.g. one per serving worker) share warm
-    /// templates. The model/topology must match across every executor on
-    /// the handle: the cache key is the parameter structure only.
+    /// constructed executors share warm templates. The model/topology
+    /// must match across every executor on the handle: the cache key is
+    /// the parameter structure only.
     ///
     /// # Panics
     ///
@@ -537,9 +550,6 @@ impl NoisyExecutor {
             topology: topology.clone(),
             phys,
             options,
-            workspace: std::cell::RefCell::new(SimWorkspace::new()),
-            lane_tables: std::cell::RefCell::new(LaneTables::new()),
-            traj_panel: std::cell::RefCell::new(TrajectoryPanel::new()),
             cache,
         }
     }
@@ -826,7 +836,7 @@ impl NoisyExecutor {
         let (native, entry, program) = self.compile(features, weights, snapshot);
         let measured = self.measured_compact(&native, &entry.compaction);
         let mut est = estimate_prob_one_panel(
-            &mut self.traj_panel.borrow_mut(),
+            &mut TrajectoryPanel::new(),
             &program,
             &measured,
             self.options.trajectories,
@@ -944,8 +954,9 @@ impl NoisyExecutor {
     /// ± pair, a finite-difference sweep, one sample on every day), and
     /// among those the probes of one day next to each other — and
     /// contiguous chunks of that order fan out through
-    /// [`parallel::map_chunks`], one executor clone (and so one
-    /// workspace/panel) per worker. A batch spanning several days thus
+    /// [`parallel::map_chunks`]; each worker makes one scratch (density
+    /// workspace, lane tables, trajectory panel) for its chunk and shares
+    /// the executor by reference. A batch spanning several days thus
     /// splits its whole (day, probe) grid evenly over the workers.
     ///
     /// The density backend fuses each structure once: the calling thread
@@ -1050,12 +1061,13 @@ impl NoisyExecutor {
         // Every probe's noise comes from its own stream and results are
         // placed by probe index, so neither the order nor the fan-out can
         // change bits.
-        let scores = parallel::map_chunks(self, order.len(), threads, |exec, range| {
+        let scores = parallel::map_chunks(order.len(), threads, |range| {
             let idxs = &order[range];
+            let mut scratch = Scratch::default();
             let mut out = Vec::with_capacity(idxs.len());
             for run in idxs.chunk_by(|&a, &b| group[a] == group[b]) {
                 let entry = &entries[group[run[0]]];
-                out.extend(exec.evaluate_group(days, probes, &fulls, entry, run));
+                out.extend(self.evaluate_group(&mut scratch, days, probes, &fulls, entry, run));
             }
             out
         });
@@ -1075,9 +1087,10 @@ impl NoisyExecutor {
     /// Scores of the probes `idxs` (all of structure `entry`), in `idxs`
     /// order, each under its own day of `days`, and whether the probe ran
     /// from the structure's density template: the per-worker half of
-    /// [`Self::evaluate_probes_over_days`].
+    /// [`Self::evaluate_probes_over_days`], run on the worker's `scratch`.
     fn evaluate_group(
         &self,
+        scratch: &mut Scratch,
         days: &[&CalibrationSnapshot],
         probes: &[ProbeRequest<'_>],
         fulls: &[Vec<f64>],
@@ -1101,8 +1114,7 @@ impl NoisyExecutor {
                 let layout = entry.template.physical().final_layout();
                 let compact = |q: usize| entry.compaction.compact(q);
                 let max_lanes = SimWorkspace::max_lanes(shape.n_qubits());
-                let mut ws = self.workspace.borrow_mut();
-                let mut tables = self.lane_tables.borrow_mut();
+                let Scratch { ws, tables, .. } = scratch;
                 // Probes are patched into the lanes of one run, 4 at a
                 // time, then 2, then 1; a probe the template does not fit
                 // is fused in full and run alone instead.
@@ -1116,7 +1128,7 @@ impl NoisyExecutor {
                     let (mut lanes, mut filled) = ([0usize; 4], 0);
                     while filled < width && j < idxs.len() {
                         let i = idxs[j];
-                        if template.patch(&fulls[i], noise_of(i), &mut tables, filled) {
+                        if template.patch(&fulls[i], noise_of(i), tables, filled) {
                             debug_assert_eq!(
                                 tables.lane_program(shape, filled),
                                 fuse_native_compacted(
@@ -1148,7 +1160,7 @@ impl NoisyExecutor {
                     for spare in filled..width {
                         tables.copy_lane(filled - 1, spare);
                     }
-                    ws.run_tables(shape, &tables);
+                    ws.run_tables(shape, tables);
                     for (lane, &j) in lanes[..filled].iter().enumerate() {
                         let i = idxs[j];
                         let z = self.scores_from_probs(layout, day_of(i), &mut shot_rng(i), |q| {
@@ -1185,17 +1197,14 @@ impl NoisyExecutor {
                         .iter()
                         .map(|&i| self.traj_seed(probes[i].stream))
                         .collect();
-                    let ests = {
-                        let mut panel = self.traj_panel.borrow_mut();
-                        estimate_prob_one_panel_multi(
-                            &mut panel,
-                            &program,
-                            &measured,
-                            self.options.trajectories,
-                            &seeds,
-                            width,
-                        )
-                    };
+                    let ests = estimate_prob_one_panel_multi(
+                        &mut scratch.panel,
+                        &program,
+                        &measured,
+                        self.options.trajectories,
+                        &seeds,
+                        width,
+                    );
                     for (slot, est) in (j..k).zip(ests.iter()) {
                         let z = self.scores_from_probs(
                             native.final_layout(),
@@ -1374,13 +1383,14 @@ pub mod parallel {
     //! `QUCAD_THREADS` environment variable and falls back to
     //! [`std::thread::available_parallelism`].
     //!
-    //! [`map_chunks`] clones the executor for every worker it spawns, on
-    //! **every call** that fans out, and with it the [`quasim::density::SimWorkspace`] (the
-    //! density-matrix storage and lane panels), the lane operand tables
-    //! and the [`quasim::trajectory::TrajectoryPanel`]. Storage is
-    //! therefore allocated once per worker per call and reset in place
-    //! between the probes of that call; an SPSA fine-tune, which makes one
-    //! call per step, pays the clone on every step.
+    //! [`map_chunks`] clones nothing: the workers share the executor by
+    //! reference ([`NoisyExecutor`] is compiled state only, `Send +
+    //! Sync`), and each worker makes its own scratch inside the closure —
+    //! the engine's [`quasim::density::SimWorkspace`] (the density-matrix
+    //! storage and lane panels), lane operand tables and
+    //! [`quasim::trajectory::TrajectoryPanel`], or the gradient sweeps'
+    //! state-vector panels. Storage is therefore allocated once per
+    //! worker per call and reset in place between the probes of its chunk.
 
     use super::{NoisyExecutor, ProbeBatch};
     use crate::data::Sample;
@@ -1518,34 +1528,29 @@ pub mod parallel {
     /// threads and concatenates their results in index order — the one
     /// fan-out every batch evaluator here uses.
     ///
-    /// `f(state, range)` must return one result per index of `range`.
-    /// Each spawned worker gets its own clone of `state` (executors carry
-    /// non-`Sync` scratch), made before the spawn; with `threads <= 1` or
-    /// `n <= 1`, `f` runs once on the calling thread with `state` itself.
+    /// `f(range)` must return one result per index of `range`; a worker
+    /// that needs scratch makes it inside `f`, once per chunk. With
+    /// `threads <= 1` or `n <= 1`, `f` runs once on the calling thread.
     /// Because results are placed by index, any reduction the caller runs
     /// over them in index order is bit-identical for every `threads`.
     ///
     /// # Panics
     ///
     /// Panics if a worker panics or returns the wrong number of results.
-    pub fn map_chunks<S, T, F>(state: &S, n: usize, threads: usize, f: F) -> Vec<T>
+    pub fn map_chunks<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
     where
-        S: Clone + Send,
         T: Send,
-        F: Fn(&S, Range<usize>) -> Vec<T> + Sync,
+        F: Fn(Range<usize>) -> Vec<T> + Sync,
     {
         if threads <= 1 || n <= 1 {
-            return f(state, 0..n);
+            return f(0..n);
         }
         let chunk = n.div_ceil(threads);
         let out: Vec<T> = std::thread::scope(|scope| {
             let f = &f;
             let handles: Vec<_> = (0..n)
                 .step_by(chunk)
-                .map(|start| {
-                    let local = state.clone();
-                    scope.spawn(move || f(&local, start..(start + chunk).min(n)))
-                })
+                .map(|start| scope.spawn(move || f(start..(start + chunk).min(n))))
                 .collect();
             handles
                 .into_iter()
@@ -2063,6 +2068,33 @@ mod tests {
             );
         }
         assert!(exec.cache_handle().resident_structures() <= MAX_CACHED_STRUCTURES);
+    }
+
+    #[test]
+    fn one_executor_is_shared_across_threads_by_reference() {
+        // Compile-time: an executor is compiled state only, so threads
+        // borrow it instead of each cloning their own.
+        fn shared<T: Send + Sync>() {}
+        shared::<NoisyExecutor>();
+        let (model, topo, exec) = setup();
+        let snap = CalibrationSnapshot::uniform(&topo, 0, 2e-3, 3e-2, 0.02);
+        let weights = model.init_weights(5);
+        let features = [[0.4, 0.9, 1.3, 0.2], [1.7, 0.3, 2.2, 0.8]];
+        let got: Vec<Vec<f64>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = features
+                .iter()
+                .map(|f| scope.spawn(|| exec.z_scores_seeded(f, &weights, &snap, 3)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("join"))
+                .collect()
+        });
+        for (f, z) in features.iter().zip(&got) {
+            let fresh = NoisyExecutor::new(&model, &topo, NoiseOptions::default());
+            let want = fresh.z_scores_seeded(f, &weights, &snap, 3);
+            assert!(z.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
     }
 
     #[test]

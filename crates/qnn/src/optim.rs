@@ -48,11 +48,6 @@ impl Adam {
         }
     }
 
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
     /// In-place parameter update from a gradient.
     ///
     /// # Panics

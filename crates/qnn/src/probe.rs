@@ -330,7 +330,7 @@ pub fn pure_fd_gradient(
     assert!(h.is_finite(), "shift must be finite");
     let plan = SweepPlan::new(model, slots);
     let groups = lane_groups(batch.len());
-    let losses: Vec<Vec<SampleLosses>> = map_chunks(&(), groups.len(), threads, |_, range| {
+    let losses: Vec<Vec<SampleLosses>> = map_chunks(groups.len(), threads, |range| {
         let mut sweepers = Sweepers::default();
         range
             .map(|g| sweepers.losses(&plan, &batch[groups[g].clone()], weights, h))

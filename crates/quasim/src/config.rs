@@ -1,7 +1,7 @@
 //! Shared parsing for the workspace's environment knobs.
 //!
 //! Every audited `env::var` entry point (`QUCAD_THREADS`,
-//! `QUCAD_TRAJ_BATCH`, the `QUCAD_SERVE_*` family) resolves its raw value
+//! `QUCAD_TRAJ_BATCH`) and the `qucad-serve` flags resolve their raw value
 //! through these pure helpers, so all knobs share one contract: a *set*
 //! variable must parse. Garbage, empty, whitespace-only, and out-of-range
 //! values fail fast with one uniform message instead of being silently

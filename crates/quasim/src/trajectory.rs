@@ -1378,11 +1378,6 @@ impl TrajectoryPanel {
         TrajectoryPanel::default()
     }
 
-    /// The kernel compilation this panel's passes run under.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel
-    }
-
     /// Overrides the kernel compilation — how the bit-identity proptests
     /// pin the scalar oracle against the AVX2 compilation on the same host.
     ///

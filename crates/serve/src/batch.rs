@@ -1,32 +1,24 @@
 //! The request queue and cross-client structure batcher.
 //!
 //! Concurrently pending [`Request::Eval`](crate::codec::Request) calls
-//! are grouped by `(day, StructureKey)` — across clients — so each group
-//! rides one `evaluate_probes`-style batched pass through the shared
-//! program cache: the serving-path payoff of the structure-of-arrays
-//! panel design. Grouping is *by construction*: a batch is assembled only
-//! from queue entries whose group key equals the head entry's, so a batch
+//! are grouped by [`StructureKey`] — across clients and across
+//! calibration days — so each group rides one
+//! `evaluate_probes_over_days` pass through the shared program cache,
+//! which runs every probe under its own day: the serving-path payoff of
+//! the structure-of-arrays panel design. Grouping is *by construction*: a
+//! batch is assembled only from queue entries whose structure key equals
+//! the head entry's, looking ahead through the whole queue, so a batch
 //! can never mix structures (asserted again by the interleaving
 //! proptests).
 //!
-//! Ordering contract: batches preserve queue order within a group, and
-//! results are bit-identical to evaluating each request alone (the
-//! `evaluate_probes` per-probe seeding contract), so *which* requests get
-//! batched together is pure scheduling — invisible in the responses.
+//! Ordering contract: batches preserve queue order within a structure,
+//! and results are bit-identical to evaluating each request alone (the
+//! engine's per-probe seeding contract), so *which* requests get batched
+//! together is pure scheduling — invisible in the responses.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use transpile::template::StructureKey;
-
-/// Group identity of one pending evaluation: requests batch together iff
-/// they share the calibration day **and** the circuit structure.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct GroupKey {
-    /// Calibration day index.
-    pub day: u32,
-    /// Parameter-structure key of the fully bound circuit.
-    pub key: StructureKey,
-}
 
 /// One admitted evaluation waiting for a worker.
 #[derive(Debug)]
@@ -35,14 +27,17 @@ pub struct PendingEval<T> {
     pub request_id: u64,
     /// Tenant id (cross-client batch accounting).
     pub client_id: u64,
+    /// Calibration day index.
+    pub day: u32,
     /// Shot-noise stream id.
     pub stream: u64,
     /// Input features.
     pub features: Vec<f64>,
     /// Model weights.
     pub weights: Vec<f64>,
-    /// Batch-grouping identity.
-    pub group: GroupKey,
+    /// Parameter-structure key of the fully bound circuit: requests
+    /// batch together iff their keys are equal.
+    pub key: StructureKey,
     /// Caller context carried through the queue (the TCP server threads
     /// a response writer; in-process harnesses thread an index).
     pub ctx: T,
@@ -112,9 +107,9 @@ impl<T> BatchQueue<T> {
     }
 
     /// Removes the next batch: the head entry plus every other pending
-    /// entry sharing its [`GroupKey`], in queue order, up to the batch
-    /// cap. Blocks while the queue is empty; returns `None` once the
-    /// queue is closed **and** drained (workers exit on `None`).
+    /// entry sharing its [`StructureKey`], on any day, in queue order, up
+    /// to the batch cap. Blocks while the queue is empty; returns `None`
+    /// once the queue is closed **and** drained (workers exit on `None`).
     pub fn next_batch(&self) -> Option<Vec<PendingEval<T>>> {
         let mut state = self.lock();
         while state.queue.is_empty() && !state.closed {
@@ -128,7 +123,7 @@ impl<T> BatchQueue<T> {
         let mut rest = VecDeque::with_capacity(state.queue.len());
         batch.push(first);
         while let Some(p) = state.queue.pop_front() {
-            if batch.len() < self.max_batch && p.group == batch[0].group {
+            if batch.len() < self.max_batch && p.key == batch[0].key {
                 batch.push(p);
             } else {
                 rest.push_back(p);
@@ -164,7 +159,7 @@ impl<T> BatchQueue<T> {
 mod tests {
     use super::*;
 
-    fn key(day: u32, tag: u8) -> GroupKey {
+    fn key(tag: u8) -> StructureKey {
         // Real structure keys from a 2-parameter circuit: `tag`'s low
         // bits pick which rotations sit on the identity class, so
         // distinct tags (0..4) give distinct keys. The queue only ever
@@ -178,20 +173,18 @@ mod tests {
             if tag & 1 == 0 { 0.0 } else { 0.9 },
             if tag & 2 == 0 { 0.0 } else { 0.9 },
         ];
-        GroupKey {
-            day,
-            key: structure_key(&c, &theta, ANGLE_TOL),
-        }
+        structure_key(&c, &theta, ANGLE_TOL)
     }
 
-    fn pending(id: u64, group: GroupKey) -> PendingEval<()> {
+    fn pending(id: u64, day: u32, key: StructureKey) -> PendingEval<()> {
         PendingEval {
             request_id: id,
             client_id: id % 3,
+            day,
             stream: id,
             features: vec![],
             weights: vec![],
-            group,
+            key,
             ctx: (),
         }
     }
@@ -199,22 +192,23 @@ mod tests {
     #[test]
     fn batches_group_by_key_in_arrival_order() {
         let q: BatchQueue<()> = BatchQueue::new(16, 8);
-        for (id, g) in [
-            (0, key(0, 1)),
-            (1, key(0, 2)),
-            (2, key(0, 1)),
-            (3, key(1, 1)), // same structure, different day: separate batch
-            (4, key(0, 2)),
+        for (id, day, k) in [
+            (0, 0, key(1)),
+            (1, 0, key(2)),
+            (2, 0, key(1)),
+            (3, 1, key(1)), // same structure, another day: same batch
+            (4, 0, key(2)),
+            (5, 1, key(3)),
         ] {
-            q.push(pending(id, g)).expect("open");
+            q.push(pending(id, day, k)).expect("open");
         }
         let ids = |b: &[PendingEval<()>]| b.iter().map(|p| p.request_id).collect::<Vec<_>>();
         let b1 = q.next_batch().expect("batch");
-        assert_eq!(ids(&b1), vec![0, 2]);
+        assert_eq!(ids(&b1), vec![0, 2, 3]);
         let b2 = q.next_batch().expect("batch");
         assert_eq!(ids(&b2), vec![1, 4]);
         let b3 = q.next_batch().expect("batch");
-        assert_eq!(ids(&b3), vec![3]);
+        assert_eq!(ids(&b3), vec![5]);
         assert!(q.is_empty());
     }
 
@@ -222,7 +216,7 @@ mod tests {
     fn max_batch_caps_group_size() {
         let q: BatchQueue<()> = BatchQueue::new(16, 2);
         for id in 0..5 {
-            q.push(pending(id, key(0, 1))).expect("open");
+            q.push(pending(id, id as u32 % 2, key(1))).expect("open");
         }
         assert_eq!(q.next_batch().expect("batch").len(), 2);
         assert_eq!(q.next_batch().expect("batch").len(), 2);
@@ -232,9 +226,9 @@ mod tests {
     #[test]
     fn closed_queue_drains_then_ends() {
         let q: BatchQueue<()> = BatchQueue::new(4, 4);
-        q.push(pending(1, key(0, 1))).expect("open");
+        q.push(pending(1, 0, key(1))).expect("open");
         q.close();
-        assert!(q.push(pending(2, key(0, 1))).is_err(), "closed refuses");
+        assert!(q.push(pending(2, 0, key(1))).is_err(), "closed refuses");
         assert_eq!(q.next_batch().expect("drain").len(), 1);
         assert!(q.next_batch().is_none(), "drained + closed ends workers");
     }
@@ -243,9 +237,9 @@ mod tests {
     fn full_queue_blocks_until_a_batch_is_taken() {
         use std::sync::Arc;
         let q: Arc<BatchQueue<()>> = Arc::new(BatchQueue::new(1, 4));
-        q.push(pending(1, key(0, 1))).expect("open");
+        q.push(pending(1, 0, key(1))).expect("open");
         let q2 = Arc::clone(&q);
-        let pusher = std::thread::spawn(move || q2.push(pending(2, key(0, 2))).is_ok());
+        let pusher = std::thread::spawn(move || q2.push(pending(2, 0, key(2))).is_ok());
         // The queue is at capacity; the push above parks until this drain.
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert_eq!(q.next_batch().expect("batch")[0].request_id, 1);

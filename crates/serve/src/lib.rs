@@ -4,17 +4,17 @@
 //! crate is its production shape — a long-running TCP server owning the
 //! warm state the batch path already built:
 //!
-//! - one shared [`qnn::executor::ProgramCacheHandle`] of routed
-//!   templates, warmed by **every** worker and therefore every client;
+//! - one [`qnn::executor::NoisyExecutor`] that every worker borrows, and
+//!   with it one program cache of routed templates, warmed by **every**
+//!   worker and therefore every client;
 //! - the [`qucad::repository::ModelRepository`], matched concurrently
-//!   from per-connection reader threads;
-//! - per-worker `SimWorkspace`/`TrajectoryPanel` buffers (each worker
-//!   owns one executor clone).
+//!   from per-connection reader threads.
 //!
-//! Concurrently pending requests are grouped by `(day, StructureKey)` —
-//! **across clients** — and each group rides one `evaluate_probes`
-//! batched pass, so cross-user batching is the serving payoff of the
-//! structure-of-arrays panel design.
+//! Concurrently pending requests are grouped by `StructureKey` —
+//! **across clients and calibration days** — and each group rides one
+//! `evaluate_probes_over_days` call ([`server::evaluate_batch`]), which
+//! runs every request under its own day, so cross-user batching is the
+//! serving payoff of the structure-of-arrays panel design.
 //!
 //! The bit-identity contract: a served z-score vector equals a direct
 //! in-process [`qnn::executor::NoisyExecutor::z_scores_seeded`] call for

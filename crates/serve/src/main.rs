@@ -1,16 +1,13 @@
 //! The `qucad-serve` binary: bind, print the address, serve until a
 //! `Shutdown` request arrives.
 //!
-//! Flags (all `--flag=value`) override the `QUCAD_SERVE_*` environment
-//! knobs, which override the defaults:
+//! Flags (all `--flag=value`; each parses strictly, so a garbage value
+//! panics with the flag's name):
 //!
-//! - `--port` / `QUCAD_SERVE_PORT` — TCP port on 127.0.0.1 (`0` =
-//!   ephemeral; combine with `--port-file` so drivers learn the bound
-//!   address). Default `7877`.
-//! - `--max-batch` / `QUCAD_SERVE_MAX_BATCH` — largest structure-grouped
-//!   batch. Default `16`.
-//! - `--queue-depth` / `QUCAD_SERVE_QUEUE_DEPTH` — pending-eval bound.
-//!   Default `256`.
+//! - `--port` — TCP port on 127.0.0.1 (`0` = ephemeral; combine with
+//!   `--port-file` so drivers learn the bound address). Default `7877`.
+//! - `--max-batch` — largest structure-grouped batch. Default `16`.
+//! - `--queue-depth` — pending-eval bound. Default `256`.
 //! - `--workers` — worker threads (default: `QUCAD_THREADS` or the
 //!   machine parallelism, like every other batch path).
 //! - `--device`, `--days`, `--seed` — the scenario recipe; clients must
@@ -29,20 +26,9 @@ fn parse_flag<'a>(arg: &'a str, name: &str) -> Option<&'a str> {
 }
 
 fn main() {
-    // Environment defaults (flags below override). Each knob parses
-    // through the shared strict helpers: a set-but-garbage value panics
-    // instead of silently demoting to a default.
-    // qucad-lint: allow(env-read) — audited entry point: serve listen port
-    let mut port = std::env::var("QUCAD_SERVE_PORT")
-        .map_or(7877, |v| quasim::config::parse_port("QUCAD_SERVE_PORT", &v));
-    // qucad-lint: allow(env-read) — audited entry point: serve batch cap
-    let mut max_batch = std::env::var("QUCAD_SERVE_MAX_BATCH").map_or(16, |v| {
-        quasim::config::parse_positive("QUCAD_SERVE_MAX_BATCH", &v)
-    });
-    // qucad-lint: allow(env-read) — audited entry point: serve queue depth
-    let mut queue_depth = std::env::var("QUCAD_SERVE_QUEUE_DEPTH").map_or(256, |v| {
-        quasim::config::parse_positive("QUCAD_SERVE_QUEUE_DEPTH", &v)
-    });
+    let mut port = 7877;
+    let mut max_batch = 16;
+    let mut queue_depth = 256;
     let mut workers = parallel::worker_threads();
     let mut device = "belem".to_string();
     let mut days = 8usize;

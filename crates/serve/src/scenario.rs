@@ -15,9 +15,7 @@ use qnn::executor::{NoiseOptions, NoisyExecutor, ProgramCacheHandle, SimBackend}
 use qnn::model::VqcModel;
 use qucad::repository::{ModelRepository, RepositoryEntry};
 use transpile::expand::ANGLE_TOL;
-use transpile::template::structure_key;
-
-use crate::batch::GroupKey;
+use transpile::template::{structure_key, StructureKey};
 
 /// Trajectories per evaluation when the trajectory backend is selected.
 const TRAJECTORIES: u32 = 64;
@@ -135,21 +133,19 @@ impl ServeScenario {
         4
     }
 
-    /// A fresh executor on this scenario sharing `cache` (one per
-    /// serving worker; clients build one with a private cache for
-    /// verification).
+    /// A fresh executor on this scenario on `cache` (the server builds
+    /// one and its workers share it; clients build one with a private
+    /// cache for verification).
     pub fn executor(&self, cache: ProgramCacheHandle) -> NoisyExecutor {
         NoisyExecutor::with_shared_cache(&self.model, &self.topology, self.options, cache)
     }
 
-    /// The batch-group identity of a request: its calibration day plus
-    /// the structure key of the fully bound circuit.
-    pub fn group_key(&self, day: u32, features: &[f64], weights: &[f64]) -> GroupKey {
+    /// The batch-group identity of a request: the structure key of the
+    /// fully bound circuit. The day is not part of it, since one engine
+    /// call runs every probe under its own day.
+    pub fn group_key(&self, features: &[f64], weights: &[f64]) -> StructureKey {
         let full = self.model.full_params(features, weights);
-        GroupKey {
-            day,
-            key: structure_key(self.model.circuit(), &full, ANGLE_TOL),
-        }
+        structure_key(self.model.circuit(), &full, ANGLE_TOL)
     }
 
     /// Validates an eval request body against this scenario. The error
@@ -235,17 +231,13 @@ mod tests {
     }
 
     #[test]
-    fn group_keys_split_by_day_and_structure() {
+    fn group_keys_split_by_structure_only() {
         let s = ServeScenario::build("belem", 2, 5);
         let generic = vec![0.9; s.model.n_weights()];
         let mut compressed = generic.clone();
         compressed[0] = 0.0;
-        let f = [0.2; 4];
-        assert_eq!(s.group_key(0, &f, &generic), s.group_key(0, &f, &generic));
-        assert_ne!(s.group_key(0, &f, &generic), s.group_key(1, &f, &generic));
-        assert_ne!(
-            s.group_key(0, &f, &generic),
-            s.group_key(0, &f, &compressed)
-        );
+        let (f, g) = ([0.2; 4], [0.7; 4]);
+        assert_eq!(s.group_key(&f, &generic), s.group_key(&g, &generic));
+        assert_ne!(s.group_key(&f, &generic), s.group_key(&f, &compressed));
     }
 }

@@ -3,15 +3,17 @@
 //! Thread architecture (std only — no async runtime is available):
 //!
 //! - one **acceptor** thread polls a non-blocking listener, spawning one
-//!   reader thread per connection;
+//!   reader thread per connection and joining the readers of closed
+//!   connections as it goes;
 //! - per-connection **reader** threads decode frames, answer
 //!   `MatchModel`/`Stats` inline (repository matching is a concurrent
 //!   `&self` read), and admit `Eval` requests to the shared
 //!   [`BatchQueue`];
-//! - N **worker** threads each own a [`NoisyExecutor`] clone on one
-//!   shared [`ProgramCacheHandle`] — one warm template cache across all
-//!   workers and therefore across all clients — and drain the queue one
-//!   structure-grouped batch at a time through `evaluate_probes`.
+//! - N **worker** threads share the server's one [`NoisyExecutor`] — one
+//!   warm template cache across all workers and therefore across all
+//!   clients — and drain the queue one structure-grouped batch at a time
+//!   through [`evaluate_batch`], each batch one engine call over every
+//!   day its requests name.
 //!
 //! Responses carry the client's `request_id` and may return out of
 //! submission order (batches complete per structure); each connection's
@@ -31,6 +33,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
+use calibration::snapshot::CalibrationSnapshot;
 use qnn::executor::{NoisyExecutor, ProbeBatch, ProgramCacheHandle};
 use qucad::repository::MatchOutcome;
 
@@ -75,7 +78,7 @@ impl Default for ServerConfig {
 }
 
 /// Mutable serving counters (everything except the cache counters, which
-/// live behind the shared [`ProgramCacheHandle`]).
+/// the executor's program cache keeps).
 #[derive(Debug, Default)]
 struct Counters {
     requests: u64,
@@ -91,9 +94,10 @@ type Writer = Arc<Mutex<TcpStream>>;
 /// State shared by every thread of one server.
 struct Shared {
     scenario: ServeScenario,
+    /// The one executor every worker evaluates through.
+    exec: NoisyExecutor,
     queue: BatchQueue<Writer>,
     counters: Mutex<Counters>,
-    cache: ProgramCacheHandle,
     shutdown: AtomicBool,
 }
 
@@ -103,7 +107,7 @@ impl Shared {
             .counters
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let cache = self.cache.stats();
+        let cache = self.exec.cache_stats();
         ServeStats {
             requests: c.requests,
             batches: c.batches,
@@ -155,11 +159,10 @@ pub fn serve(scenario: ServeScenario, config: ServerConfig) -> io::Result<Server
     let listener = TcpListener::bind(("127.0.0.1", config.port))?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let cache = ProgramCacheHandle::new();
     let shared = Arc::new(Shared {
+        exec: scenario.executor(ProgramCacheHandle::new()),
         queue: BatchQueue::new(config.queue_depth, config.max_batch),
         counters: Mutex::new(Counters::default()),
-        cache: cache.clone(),
         scenario,
         shutdown: AtomicBool::new(false),
     });
@@ -167,10 +170,9 @@ pub fn serve(scenario: ServeScenario, config: ServerConfig) -> io::Result<Server
     let workers: Vec<_> = (0..config.workers.max(1))
         .map(|i| {
             let shared = Arc::clone(&shared);
-            let exec = shared.scenario.executor(cache.clone());
             thread::Builder::new()
                 .name(format!("qucad-serve-worker-{i}"))
-                .spawn(move || worker_loop(&shared, &exec))
+                .spawn(move || worker_loop(&shared))
                 .expect("spawn worker")
         })
         .collect();
@@ -190,7 +192,9 @@ pub fn serve(scenario: ServeScenario, config: ServerConfig) -> io::Result<Server
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, workers: Vec<thread::JoinHandle<()>>) {
     let mut readers = Vec::new();
+    let mut panicked_readers = 0;
     while !shared.shutdown.load(Ordering::SeqCst) {
+        panicked_readers += reap_finished(&mut readers);
         match listener.accept() {
             Ok((stream, _)) => {
                 let shared = Arc::clone(shared);
@@ -213,8 +217,21 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, workers: Vec<thread
         w.join().expect("serve worker panicked");
     }
     for r in readers {
-        r.join().expect("serve reader panicked");
+        panicked_readers += usize::from(r.join().is_err());
     }
+    assert_eq!(panicked_readers, 0, "serve reader panicked");
+}
+
+/// Joins the reader threads whose connections have closed and keeps the
+/// live ones, so a long-running server holds one thread per open
+/// connection rather than one per connection it ever served. Returns how
+/// many of the joined readers panicked; the acceptor reports them at
+/// shutdown, not mid-run.
+fn reap_finished(readers: &mut Vec<thread::JoinHandle<()>>) -> usize {
+    readers
+        .extract_if(.., |r| r.is_finished())
+        .map(|r| usize::from(r.join().is_err()))
+        .sum()
 }
 
 /// Outcome of one attempted frame read on a connection.
@@ -343,14 +360,15 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                     );
                     continue;
                 }
-                let group = shared.scenario.group_key(day, &features, &weights);
+                let key = shared.scenario.group_key(&features, &weights);
                 let pending = PendingEval {
                     request_id,
                     client_id,
+                    day,
                     stream,
                     features,
                     weights,
-                    group,
+                    key,
                     ctx: Arc::clone(&writer),
                 };
                 if shared.queue.push(pending).is_err() {
@@ -423,19 +441,32 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-fn worker_loop(shared: &Shared, exec: &NoisyExecutor) {
+/// Scores one batch of pending evaluations, in batch order: each
+/// request's probe on its own day of `days` (a request's `day` indexes
+/// it), all in one engine call. A batch from [`BatchQueue::next_batch`]
+/// holds one structure, so the call is one cache lookup plus per-probe
+/// patches; it runs on one thread because the serve workers themselves
+/// are the fan-out.
+///
+/// # Panics
+///
+/// Panics if a request's day is out of range of `days`.
+pub fn evaluate_batch<T>(
+    exec: &NoisyExecutor,
+    days: &[CalibrationSnapshot],
+    batch: &[PendingEval<T>],
+) -> Vec<Vec<f64>> {
+    let days: Vec<&CalibrationSnapshot> = days.iter().collect();
+    let mut probes = ProbeBatch::with_capacity(batch.len());
+    for p in batch {
+        probes.push_on_day(p.day as usize, &p.features, &p.weights, p.stream);
+    }
+    exec.evaluate_probes_over_days(&days, &probes, 1)
+}
+
+fn worker_loop(shared: &Shared) {
     while let Some(batch) = shared.queue.next_batch() {
-        let day = batch[0].group.day as usize;
-        let snapshot = &shared.scenario.snapshots[day];
-        let mut probes = ProbeBatch::with_capacity(batch.len());
-        for p in &batch {
-            probes.push(&p.features, &p.weights, p.stream);
-        }
-        // One structure group per batch by construction, so this is one
-        // compile-or-hit plus per-probe rebinds; threads=1 because the
-        // workers themselves are the fan-out.
-        let results = exec.evaluate_probes(snapshot, &probes, 1);
-        debug_assert_eq!(results.len(), batch.len());
+        let results = evaluate_batch(&shared.exec, &shared.scenario.snapshots, &batch);
         {
             let mut c = shared
                 .counters
@@ -459,5 +490,35 @@ fn worker_loop(shared: &Shared, exec: &NoisyExecutor) {
                 },
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reaping_joins_finished_readers_and_keeps_live_ones() {
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        let mut readers = vec![
+            thread::spawn(|| {}),
+            thread::spawn(move || {
+                let _ = parked.recv();
+            }),
+            thread::spawn(|| panic!("reader fault")),
+        ];
+        while !(readers[0].is_finished() && readers[2].is_finished()) {
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(reap_finished(&mut readers), 1, "one joined reader panicked");
+        assert_eq!(readers.len(), 1, "only the live reader is kept");
+        assert!(!readers[0].is_finished());
+        release.send(()).expect("live reader waits");
+        readers
+            .pop()
+            .expect("live reader")
+            .join()
+            .expect("clean exit");
+        assert_eq!(reap_finished(&mut readers), 0);
     }
 }

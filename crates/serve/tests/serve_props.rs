@@ -2,10 +2,10 @@
 //!
 //! 1. **Interleaving bit-identity** (the tentpole contract): N clients ×
 //!    random arrival orders × random batch caps × both backends, driven
-//!    through the real queue/batcher and multi-worker shared-cache
-//!    executors — every response must equal a direct single-process
-//!    `z_scores_seeded` call bit for bit, and no batch may ever mix
-//!    `(day, StructureKey)` groups.
+//!    through the real queue/batcher and the serve workers' batch step,
+//!    [`qucad_serve::server::evaluate_batch`] — every response must equal
+//!    a direct single-process `z_scores_seeded` call bit for bit, and no
+//!    batch may ever mix structure keys (a batch may span days).
 //! 2. **Codec round-trips**: every f64 — NaN and −0.0 included — crosses
 //!    the wire bit-exactly.
 
@@ -17,6 +17,7 @@ use qucad_serve::codec::{
     ServeStats, WireMatchOutcome,
 };
 use qucad_serve::scenario::ServeScenario;
+use qucad_serve::server::evaluate_batch;
 
 /// One logical client request in the generated workload.
 #[derive(Debug, Clone)]
@@ -69,7 +70,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// The full in-process serving pipeline — queue, structure batcher,
-    /// two shared-cache workers — against the direct path.
+    /// the workers' batch step on one executor — against the direct path.
     #[test]
     fn interleaved_batched_serving_is_bit_identical_to_direct(
         workload in arb_workload(2),
@@ -88,34 +89,20 @@ proptest! {
         let mut ordered = workload.clone();
         ordered.sort_by_key(|w| w.priority);
 
-        // Two workers on one shared cache, used alternately per batch —
-        // the multi-worker serving shape without thread scheduling noise.
-        let shared = ProgramCacheHandle::new();
-        let workers = [
-            scenario.executor(shared.clone()),
-            scenario.executor(shared.clone()),
-        ];
+        // One executor, as the server's workers share it.
+        let exec = scenario.executor(ProgramCacheHandle::new());
 
         let queue: BatchQueue<usize> = BatchQueue::new(64, max_batch);
         let mut responses: Vec<Option<Vec<f64>>> = vec![None; ordered.len()];
-        let drain = |queue: &BatchQueue<usize>,
-                         responses: &mut Vec<Option<Vec<f64>>>,
-                         batch_no: &mut usize| {
+        let drain = |queue: &BatchQueue<usize>, responses: &mut Vec<Option<Vec<f64>>>| {
             while !queue.is_empty() {
                 let batch = queue.next_batch().expect("open queue");
-                // Batch purity: one (day, structure) group per batch.
+                // Batch purity: one structure per batch, on any days.
                 for p in &batch {
-                    prop_assert!(p.group == batch[0].group, "batch crossed group keys");
+                    prop_assert!(p.key == batch[0].key, "batch crossed structure keys");
                 }
                 prop_assert!(batch.len() <= max_batch);
-                let exec = &workers[*batch_no % workers.len()];
-                *batch_no += 1;
-                let snap = &scenario.snapshots[batch[0].group.day as usize];
-                let mut probes = qnn::executor::ProbeBatch::with_capacity(batch.len());
-                for p in &batch {
-                    probes.push(&p.features, &p.weights, p.stream);
-                }
-                let z = exec.evaluate_probes(snap, &probes, 1);
+                let z = evaluate_batch(&exec, &scenario.snapshots, &batch);
                 for (p, z) in batch.iter().zip(z) {
                     responses[p.ctx] = Some(z);
                 }
@@ -123,30 +110,31 @@ proptest! {
             Ok(())
         };
 
-        let mut batch_no = 0usize;
         for (slot, w) in ordered.iter().enumerate() {
             let features = client_features(w.client);
             let weights = palette_weights(scenario.model.n_weights(), w.palette);
-            let group = scenario.group_key(w.day, &features, &weights);
+            let key = scenario.group_key(&features, &weights);
             queue
                 .push(PendingEval {
                     request_id: slot as u64,
                     client_id: w.client,
+                    day: w.day,
                     stream: w.stream,
                     features,
                     weights,
-                    group,
+                    key,
                     ctx: slot,
                 })
                 .expect("open queue");
             // Eager mode drains after every push (max batch pressure 1);
             // lazy mode lets the whole workload pool up first (max
-            // cross-client grouping). Real serving sits in between.
+            // cross-client and cross-day grouping). Real serving sits in
+            // between.
             if eager_drain {
-                drain(&queue, &mut responses, &mut batch_no)?;
+                drain(&queue, &mut responses)?;
             }
         }
-        drain(&queue, &mut responses, &mut batch_no)?;
+        drain(&queue, &mut responses)?;
 
         // Direct path: a fresh private-cache executor per request.
         for (slot, w) in ordered.iter().enumerate() {
