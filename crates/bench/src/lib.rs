@@ -183,15 +183,8 @@ impl Experiment {
         let dataset = task.dataset(scale, seed);
         let model = task.model();
         let (offline_days, online_days) = scale.days();
-        let history_cfg = match topology.name() {
-            "ibm_jakarta" => {
-                HistoryConfig::jakarta_like(offline_days + online_days, seed ^ 0xACCE55)
-            }
-            "ibm_guadalupe" => {
-                HistoryConfig::guadalupe_like(offline_days + online_days, seed ^ 0xACCE55)
-            }
-            _ => HistoryConfig::belem_like(offline_days + online_days, seed ^ 0xACCE55),
-        };
+        let history_cfg =
+            HistoryConfig::for_topology(&topology, offline_days + online_days, seed ^ 0xACCE55);
         let history = FluctuatingHistory::generate(&topology, &history_cfg, offline_days);
 
         let base_cfg = TrainConfig {

@@ -129,6 +129,17 @@ impl HistoryConfig {
         }
     }
 
+    /// The fluctuation model of `topology`'s device: [`Self::jakarta_like`]
+    /// for `ibm_jakarta`, [`Self::guadalupe_like`] for `ibm_guadalupe` and
+    /// [`Self::belem_like`] for every other map.
+    pub fn for_topology(topology: &Topology, n_days: usize, seed: u64) -> Self {
+        match topology.name() {
+            "ibm_jakarta" => HistoryConfig::jakarta_like(n_days, seed),
+            "ibm_guadalupe" => HistoryConfig::guadalupe_like(n_days, seed),
+            _ => HistoryConfig::belem_like(n_days, seed),
+        }
+    }
+
     /// A calm configuration (little fluctuation) for tests and ablations.
     pub fn calm(n_days: usize, seed: u64) -> Self {
         HistoryConfig {
@@ -304,6 +315,24 @@ mod tests {
         let a = HistoryConfig::belem_like(40, 9).generate(&topo);
         let b = HistoryConfig::belem_like(40, 9).generate(&topo);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn each_device_gets_its_own_model() {
+        let pick = |topo: Topology| HistoryConfig::for_topology(&topo, 12, 5);
+        assert_eq!(
+            pick(Topology::ibm_jakarta()),
+            HistoryConfig::jakarta_like(12, 5)
+        );
+        assert_eq!(
+            pick(Topology::ibm_guadalupe()),
+            HistoryConfig::guadalupe_like(12, 5)
+        );
+        assert_eq!(
+            pick(Topology::ibm_belem()),
+            HistoryConfig::belem_like(12, 5)
+        );
+        assert_eq!(pick(Topology::line(3)), HistoryConfig::belem_like(12, 5));
     }
 
     #[test]

@@ -133,21 +133,6 @@ impl Topology {
         Topology::new(format!("ring{n}"), n, &edges)
     }
 
-    /// A fully connected map (every pair is an edge).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn full(n: usize) -> Self {
-        let mut edges = Vec::new();
-        for a in 0..n {
-            for b in (a + 1)..n {
-                edges.push((a, b));
-            }
-        }
-        Topology::new(format!("full{n}"), n, &edges)
-    }
-
     /// Device name.
     pub fn name(&self) -> &str {
         &self.name
@@ -285,19 +270,6 @@ mod tests {
         let r = Topology::ring(6);
         assert_eq!(r.distance(0, 3), 3);
         assert_eq!(r.distance(0, 5), 1);
-    }
-
-    #[test]
-    fn full_topology_all_adjacent() {
-        let f = Topology::full(4);
-        assert_eq!(f.n_edges(), 6);
-        for a in 0..4 {
-            for b in 0..4 {
-                if a != b {
-                    assert_eq!(f.distance(a, b), 1);
-                }
-            }
-        }
     }
 
     #[test]

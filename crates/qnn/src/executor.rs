@@ -239,11 +239,6 @@ impl NoiseOptions {
             ..NoiseOptions::default()
         }
     }
-
-    /// Returns a copy running on `backend`.
-    pub fn with_backend(self, backend: SimBackend) -> Self {
-        NoiseOptions { backend, ..self }
-    }
 }
 
 /// Counters of a [`NoisyExecutor`]'s program cache (see
@@ -1242,7 +1237,7 @@ pub struct ProbeRequest<'a> {
 
 /// An ordered batch of evaluation probes for
 /// [`NoisyExecutor::evaluate_probes`] — one gradient step's worth of
-/// parameter-shift / finite-difference / SPSA evaluations collected so the
+/// finite-difference / SPSA evaluations collected so the
 /// executor can group them by circuit structure and evaluate each group in
 /// one pass.
 #[derive(Debug, Clone, Default)]
@@ -2162,7 +2157,10 @@ mod tests {
         let traj_exec = NoisyExecutor::new(
             &model,
             &topo,
-            NoiseOptions::default().with_backend(SimBackend::Trajectory),
+            NoiseOptions {
+                backend: SimBackend::Trajectory,
+                ..NoiseOptions::default()
+            },
         );
         let (_, pre) = traj_exec.compile_program(&features, &weights, &snap);
         // The trajectory arm is exactly the density program post-composed

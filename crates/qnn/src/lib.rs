@@ -10,8 +10,8 @@
 //!   earthquake detection (substitutions documented in DESIGN.md §4);
 //! - [`executor`]: noise-free (`Wp`) and calibration-driven noisy (`Wn`)
 //!   evaluation back-ends;
-//! - [`grad`], [`optim`], [`train`](mod@train): finite-difference / parameter-shift
-//!   gradients, Adam, and the noise-injection training loop of
+//! - [`probe`], [`optim`], [`train`](mod@train): batched finite-difference
+//!   probes, Adam, and the noise-injection training loop of
 //!   QuantumNAT \[12].
 //!
 //! # Examples
@@ -48,7 +48,6 @@
 pub mod data;
 pub mod encoding;
 pub mod executor;
-pub mod grad;
 pub mod loss;
 pub mod model;
 pub mod optim;

@@ -70,22 +70,6 @@ pub fn mean_cross_entropy(scores: &[Vec<f64>], labels: &[usize]) -> f64 {
     total / scores.len() as f64
 }
 
-/// Gradient of [`cross_entropy`] with respect to the *Z scores*
-/// (`∂L/∂z_k = −(p_k − 1{k=label})`, the extra minus from the logit flip).
-///
-/// # Panics
-///
-/// Panics if `label` is out of range.
-pub fn cross_entropy_grad_z(z_scores: &[f64], label: usize) -> Vec<f64> {
-    assert!(label < z_scores.len(), "label out of range");
-    let probs = softmax(&logits_from_z(z_scores));
-    probs
-        .iter()
-        .enumerate()
-        .map(|(k, &p)| -(p - if k == label { 1.0 } else { 0.0 }))
-        .collect()
-}
-
 /// Predicted class: argmax of the logits.
 ///
 /// # Panics
@@ -158,22 +142,6 @@ mod tests {
         let good = cross_entropy(&[-1.0, 1.0], 0);
         let bad = cross_entropy(&[1.0, -1.0], 0);
         assert!(good < bad);
-    }
-
-    #[test]
-    fn grad_matches_finite_difference() {
-        let z = [0.3, -0.2, 0.7];
-        let label = 1;
-        let g = cross_entropy_grad_z(&z, label);
-        let h = 1e-6;
-        for k in 0..3 {
-            let mut zp = z;
-            zp[k] += h;
-            let mut zm = z;
-            zm[k] -= h;
-            let fd = (cross_entropy(&zp, label) - cross_entropy(&zm, label)) / (2.0 * h);
-            assert!((g[k] - fd).abs() < 1e-6, "dim {k}: {} vs {}", g[k], fd);
-        }
     }
 
     #[test]

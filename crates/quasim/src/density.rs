@@ -24,7 +24,7 @@ use crate::config::KernelMode;
 use crate::fused::{run_operands, FusedProgram, LaneTables};
 use crate::gate::BoundGate;
 use crate::math::{CMatrix, Complex64};
-use crate::noise::{apply_readout_to_distribution, KrausChannel, ReadoutError};
+use crate::noise::KrausChannel;
 use crate::statevector::StateVector;
 use kernels::CLane;
 
@@ -70,24 +70,6 @@ impl DensityMatrix {
         let dim = 1usize << n_qubits;
         let mut data = vec![Complex64::ZERO; dim * dim];
         data[0] = Complex64::ONE;
-        DensityMatrix {
-            n_qubits,
-            dim,
-            data,
-        }
-    }
-
-    /// Creates `|ψ⟩⟨ψ|` from a pure state.
-    pub fn from_statevector(sv: &StateVector) -> Self {
-        let n_qubits = sv.n_qubits();
-        let dim = 1usize << n_qubits;
-        let amps = sv.amplitudes();
-        let mut data = vec![Complex64::ZERO; dim * dim];
-        for i in 0..dim {
-            for j in 0..dim {
-                data[i * dim + j] = amps[i] * amps[j].conj();
-            }
-        }
         DensityMatrix {
             n_qubits,
             dim,
@@ -296,18 +278,6 @@ impl DensityMatrix {
         (0..self.dim)
             .map(|i| self.data[i * self.dim + i].re)
             .collect()
-    }
-
-    /// Probabilities after pushing through per-qubit readout errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `errors.len() != n_qubits`.
-    pub fn probabilities_with_readout(&self, errors: &[ReadoutError]) -> Vec<f64> {
-        assert_eq!(errors.len(), self.n_qubits, "one readout error per qubit");
-        let mut probs = self.probabilities();
-        apply_readout_to_distribution(&mut probs, errors);
-        probs
     }
 
     /// Probability of measuring qubit `q` as `1` (no readout error).
@@ -1352,14 +1322,6 @@ mod tests {
     }
 
     #[test]
-    fn from_statevector_roundtrip() {
-        let sv = run_circuit(2, &[g1(GateKind::Ry, 0, 0.4), g1(GateKind::Rx, 1, 1.3)]);
-        let rho = DensityMatrix::from_statevector(&sv);
-        assert!((rho.trace() - 1.0).abs() < 1e-12);
-        assert!((rho.fidelity_with_pure(&sv) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn depolarizing_mixes_state() {
         let mut rho = DensityMatrix::zero_state(1);
         rho.apply_channel(&KrausChannel::depolarizing_1q(1.0), &[0]);
@@ -1374,17 +1336,9 @@ mod tests {
         rho.apply_gate(&g1(GateKind::H, 0, 0.0));
         rho.apply_gate(&BoundGate::two(GateKind::Cx, 0, 1, 0.0));
         rho.apply_channel(&KrausChannel::depolarizing_2q(0.05), &[0, 1]);
-        rho.apply_channel(&KrausChannel::amplitude_damping(0.1), &[2]);
+        rho.apply_channel(&KrausChannel::depolarizing_1q(0.1), &[2]);
         assert!((rho.trace() - 1.0).abs() < 1e-10);
         assert!(rho.hermiticity_error() < 1e-10);
-    }
-
-    #[test]
-    fn amplitude_damping_fully_decays_to_ground() {
-        let mut rho = DensityMatrix::zero_state(1);
-        rho.apply_gate(&g1(GateKind::X, 0, 0.0));
-        rho.apply_channel(&KrausChannel::amplitude_damping(1.0), &[0]);
-        assert!(rho.prob_one(0).abs() < 1e-12);
     }
 
     #[test]
@@ -1403,18 +1357,6 @@ mod tests {
         let rho = DensityMatrix::maximally_mixed(3);
         assert!((rho.purity() - 1.0 / 8.0).abs() < 1e-12);
         assert!((rho.trace() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn readout_probabilities_sum_to_one() {
-        let mut rho = DensityMatrix::zero_state(2);
-        rho.apply_gate(&g1(GateKind::H, 0, 0.0));
-        let probs = rho.probabilities_with_readout(&[
-            ReadoutError::new(0.03, 0.08),
-            ReadoutError::symmetric(0.02),
-        ]);
-        let total: f64 = probs.iter().sum();
-        assert!((total - 1.0).abs() < 1e-12);
     }
 
     #[test]

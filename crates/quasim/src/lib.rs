@@ -9,13 +9,13 @@
 //!   rotations used by the paper's VQC block;
 //! - [`statevector`]: noise-free pure-state simulation (the paper's
 //!   "perfect environment" `Wp(θ)`);
-//! - [`density`]: dense density-matrix simulation with Kraus noise channels
+//! - [`density`]: dense density-matrix simulation with depolarising noise
 //!   (the noisy environment `Wn(θ)`), built on zero-allocation blocked
 //!   kernels and a reusable [`density::SimWorkspace`];
 //! - [`fused`]: fused density-matrix programs — runs of operations sharing
 //!   a one- or two-qubit support executed in a single pass over `ρ`,
 //!   bit-identical to op-by-op application;
-//! - [`noise`]: depolarising / flip / damping channels and classical readout
+//! - [`noise`]: depolarising channels in Kraus form and classical readout
 //!   confusion, mirroring Qiskit Aer's calibration-driven device model;
 //! - [`trajectory`]: Monte-Carlo wavefunction (quantum-trajectory)
 //!   simulation — the same fused programs unraveled into stochastic jumps

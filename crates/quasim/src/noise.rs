@@ -25,38 +25,6 @@ pub struct KrausChannel {
 }
 
 impl KrausChannel {
-    /// Builds a channel from explicit Kraus operators.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ops` is empty, the operators are not all 2×2 or all 4×4,
-    /// or the completeness relation `Σ K†K = I` fails beyond `1e-9`.
-    pub fn from_kraus(ops: Vec<CMatrix>) -> Self {
-        assert!(!ops.is_empty(), "channel needs at least one Kraus operator");
-        let dim = ops[0].dim();
-        assert!(
-            dim == 2 || dim == 4,
-            "only 1- and 2-qubit channels supported"
-        );
-        assert!(ops.iter().all(|k| k.dim() == dim), "mixed Kraus dimensions");
-        let arity = if dim == 2 { 1 } else { 2 };
-        let ch = KrausChannel { ops, arity };
-        assert!(
-            ch.is_trace_preserving(1e-9),
-            "Kraus completeness relation violated"
-        );
-        ch
-    }
-
-    /// The identity (no-op) channel on `arity` qubits.
-    pub fn identity(arity: usize) -> Self {
-        let dim = 1usize << arity;
-        KrausChannel {
-            ops: vec![CMatrix::identity(dim)],
-            arity,
-        }
-    }
-
     /// One-qubit depolarising channel
     /// `ρ → (1−λ)ρ + λ·I/2`, with `λ` clamped to `[0, 1]`.
     pub fn depolarizing_1q(lambda: f64) -> Self {
@@ -112,42 +80,6 @@ impl KrausChannel {
             }
         }
         KrausChannel { ops, arity: 2 }
-    }
-
-    /// Bit-flip channel: applies X with probability `p` (clamped to `[0,1]`).
-    pub fn bit_flip(p: f64) -> Self {
-        let p = p.clamp(0.0, 1.0);
-        KrausChannel {
-            ops: vec![
-                CMatrix::identity(2).scaled(Complex64::real((1.0 - p).sqrt())),
-                CMatrix::from_real(2, &[0.0, 1.0, 1.0, 0.0]).scaled(Complex64::real(p.sqrt())),
-            ],
-            arity: 1,
-        }
-    }
-
-    /// Phase-flip channel: applies Z with probability `p` (clamped to `[0,1]`).
-    pub fn phase_flip(p: f64) -> Self {
-        let p = p.clamp(0.0, 1.0);
-        KrausChannel {
-            ops: vec![
-                CMatrix::identity(2).scaled(Complex64::real((1.0 - p).sqrt())),
-                CMatrix::from_real(2, &[1.0, 0.0, 0.0, -1.0]).scaled(Complex64::real(p.sqrt())),
-            ],
-            arity: 1,
-        }
-    }
-
-    /// Amplitude-damping channel with decay probability `γ` (clamped to
-    /// `[0,1]`); models T1 relaxation toward `|0⟩`.
-    pub fn amplitude_damping(gamma: f64) -> Self {
-        let g = gamma.clamp(0.0, 1.0);
-        let k0 = CMatrix::from_real(2, &[1.0, 0.0, 0.0, (1.0 - g).sqrt()]);
-        let k1 = CMatrix::from_real(2, &[0.0, g.sqrt(), 0.0, 0.0]);
-        KrausChannel {
-            ops: vec![k0, k1],
-            arity: 1,
-        }
     }
 
     /// Number of qubits the channel acts on (1 or 2).
@@ -233,32 +165,6 @@ impl Default for ReadoutError {
     }
 }
 
-/// Applies per-qubit readout confusion to a full computational-basis
-/// distribution in place.
-///
-/// # Panics
-///
-/// Panics if `probs.len()` is not `2^errors.len()`.
-pub fn apply_readout_to_distribution(probs: &mut [f64], errors: &[ReadoutError]) {
-    assert_eq!(
-        probs.len(),
-        1usize << errors.len(),
-        "distribution length must be 2^n_qubits"
-    );
-    for (q, err) in errors.iter().enumerate() {
-        let mask = 1usize << q;
-        for i in 0..probs.len() {
-            if i & mask == 0 {
-                let j = i | mask;
-                let p0 = probs[i];
-                let p1 = probs[j];
-                probs[i] = p0 * (1.0 - err.p01) + p1 * err.p10;
-                probs[j] = p0 * err.p01 + p1 * (1.0 - err.p10);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,9 +174,6 @@ mod tests {
         for p in [0.0, 1e-4, 0.01, 0.3, 1.0] {
             assert!(KrausChannel::depolarizing_1q(p).is_trace_preserving(1e-10));
             assert!(KrausChannel::depolarizing_2q(p).is_trace_preserving(1e-10));
-            assert!(KrausChannel::bit_flip(p).is_trace_preserving(1e-10));
-            assert!(KrausChannel::phase_flip(p).is_trace_preserving(1e-10));
-            assert!(KrausChannel::amplitude_damping(p).is_trace_preserving(1e-10));
         }
     }
 
@@ -301,33 +204,6 @@ mod tests {
             assert!(KrausChannel::depolarizing_1q(l).is_trace_preserving(1e-12));
             assert!(KrausChannel::depolarizing_2q(l).is_trace_preserving(1e-12));
         }
-        assert!(KrausChannel::amplitude_damping(1.0).is_trace_preserving(1e-12));
-        assert!(KrausChannel::bit_flip(0.5).is_trace_preserving(1e-12));
-    }
-
-    #[test]
-    fn full_amplitude_damping_resets_to_ground() {
-        // γ = 1: every state decays to |0⟩ exactly.
-        let ch = KrausChannel::amplitude_damping(1.0);
-        let mut rho = crate::density::DensityMatrix::zero_state(1);
-        rho.apply_gate(&crate::gate::BoundGate::one(
-            crate::gate::GateKind::X,
-            0,
-            0.0,
-        ));
-        rho.apply_channel(&ch, &[0]);
-        assert!(rho.prob_one(0).abs() < 1e-12);
-        assert!((rho.trace() - 1.0).abs() < 1e-12);
-        assert!((rho.purity() - 1.0).abs() < 1e-12, "|0⟩⟨0| is pure");
-    }
-
-    #[test]
-    fn half_bit_flip_fully_mixes_z() {
-        // p = 1/2 erases all Z information: P(1) = 1/2 from any basis state.
-        let ch = KrausChannel::bit_flip(0.5);
-        let mut rho = crate::density::DensityMatrix::zero_state(1);
-        rho.apply_channel(&ch, &[0]);
-        assert!((rho.prob_one(0) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -381,38 +257,8 @@ mod tests {
     }
 
     #[test]
-    fn distribution_readout_preserves_total_probability() {
-        let mut probs = vec![0.1, 0.2, 0.3, 0.4];
-        apply_readout_to_distribution(
-            &mut probs,
-            &[ReadoutError::new(0.05, 0.1), ReadoutError::symmetric(0.2)],
-        );
-        let total: f64 = probs.iter().sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distribution_readout_matches_marginal_formula() {
-        // Pure |01> (qubit 0 = 1, qubit 1 = 0).
-        let mut probs = vec![0.0, 1.0, 0.0, 0.0];
-        let e0 = ReadoutError::new(0.02, 0.08);
-        let e1 = ReadoutError::new(0.05, 0.03);
-        apply_readout_to_distribution(&mut probs, &[e0, e1]);
-        let p_q0_one = probs[1] + probs[3];
-        let p_q1_one = probs[2] + probs[3];
-        assert!((p_q0_one - e0.apply_to_prob_one(1.0)).abs() < 1e-12);
-        assert!((p_q1_one - e1.apply_to_prob_one(0.0)).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "probability")]
     fn readout_rejects_invalid_probability() {
         let _ = ReadoutError::new(1.5, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "completeness")]
-    fn from_kraus_rejects_non_tp() {
-        let _ = KrausChannel::from_kraus(vec![CMatrix::identity(2).scaled(Complex64::real(0.5))]);
     }
 }

@@ -21,11 +21,6 @@
 //! the exact channel average, so per-qubit `P(1)` estimates are unbiased
 //! with variance ≤ 1/4 per trajectory.
 //!
-//! General (non-mixed-unitary) CPTP channels, e.g. amplitude damping, are
-//! supported through [`TrajectoryWorkspace::apply_channel_stochastic`]: jump
-//! probabilities `p_k = ⟨ψ|K_k†K_k|ψ⟩` are computed from the state and the
-//! chosen branch is renormalised.
-//!
 //! # Program reuse
 //!
 //! Trajectories execute the same compiled [`FusedProgram`]s as the density
@@ -98,7 +93,6 @@ use crate::config::KernelMode;
 use crate::density::kernels::insert_zero_bit;
 use crate::fused::{FusedAtom, FusedProgram, MatClass, Segment, Support, Wire};
 use crate::math::{Complex64, M2, M4};
-use crate::noise::KrausChannel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -106,7 +100,7 @@ use rand::{Rng, SeedableRng};
 /// [`crate::statevector::StateVector`]'s cap).
 pub const MAX_TRAJECTORY_QUBITS: usize = 24;
 
-/// Applies a 2×2 matrix (not necessarily unitary) to qubit `q` in place.
+/// Applies a 2×2 unitary to qubit `q` in place.
 ///
 /// All kernels here enumerate only the coupled index sets via
 /// [`insert_zero_bit`] (the same bit-twiddling the density kernels use):
@@ -251,18 +245,17 @@ fn depol2_branch(lambda: f64, u: f64) -> usize {
     (((u - w_id) / (l / 16.0)) as usize).min(14) + 1
 }
 
-/// A reusable pure-state register for trajectory simulation.
+/// A reusable pure-state register that runs one trajectory at a time.
 ///
-/// Owns the amplitude storage (plus a scratch buffer for generic Kraus
-/// unraveling), so a worker thread can run thousands of trajectories with
-/// one allocation: [`TrajectoryWorkspace::reset_zero`] re-initialises in
-/// place and [`TrajectoryWorkspace::run_stochastic`] executes a fused
-/// program with stochastic jumps.
+/// It is the per-trajectory reference behind [`estimate_prob_one`], which
+/// [`TrajectoryPanel`] must match bit for bit. The amplitude storage is
+/// reused: [`TrajectoryWorkspace::reset_zero`] re-initialises in place and
+/// [`TrajectoryWorkspace::run_stochastic`] executes a fused program with
+/// Pauli jumps.
 #[derive(Debug, Clone, Default)]
 pub struct TrajectoryWorkspace {
     n_qubits: usize,
     amps: Vec<Complex64>,
-    scratch: Vec<Complex64>,
 }
 
 impl TrajectoryWorkspace {
@@ -334,7 +327,7 @@ impl TrajectoryWorkspace {
         acc
     }
 
-    /// Squared norm (1 up to rounding for mixed-unitary unravelings).
+    /// Squared norm (1 up to rounding: every jump is unitary).
     pub fn norm_sqr(&self) -> f64 {
         self.amps.iter().map(|a| a.norm_sqr()).sum()
     }
@@ -411,82 +404,6 @@ impl TrajectoryWorkspace {
         if pb != 0 {
             pauli_on(&mut self.amps, second, pb);
         }
-    }
-
-    /// Stochastically unravels a general CPTP channel: computes the jump
-    /// probabilities `p_k = ⟨ψ|K_k†K_k|ψ⟩`, samples a branch, applies its
-    /// Kraus operator, and renormalises. Returns the chosen branch index.
-    ///
-    /// This is the path for channels that are *not* mixed-unitary (e.g.
-    /// [`KrausChannel::amplitude_damping`]); depolarising noise inside
-    /// fused programs goes through the cheaper Pauli-jump sampling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qubits.len() != channel.arity()` or an index is invalid.
-    pub fn apply_channel_stochastic(
-        &mut self,
-        channel: &KrausChannel,
-        qubits: &[usize],
-        rng: &mut StdRng,
-    ) -> usize {
-        assert_eq!(
-            qubits.len(),
-            channel.arity(),
-            "channel arity does not match qubit count"
-        );
-        for &q in qubits {
-            assert!(q < self.n_qubits, "qubit {q} out of range");
-        }
-        if channel.arity() == 2 {
-            assert_ne!(qubits[0], qubits[1], "qubits must be distinct");
-        }
-        // Applies Kraus operator `k` to the current state into `scratch`
-        // and returns its branch probability ⟨ψ|K†K|ψ⟩.
-        let apply_branch = |scratch: &mut Vec<Complex64>, amps: &[Complex64], k: usize| -> f64 {
-            scratch.clear();
-            scratch.extend_from_slice(amps);
-            let kraus = &channel.kraus_ops()[k];
-            match channel.arity() {
-                1 => {
-                    let m = kraus.to_2x2().expect("one-qubit Kraus operator");
-                    m2_on(scratch, qubits[0], &m, crate::fused::classify2(&m));
-                }
-                _ => {
-                    let m = kraus.to_4x4().expect("two-qubit Kraus operator");
-                    m4_on(scratch, qubits[0], qubits[1], &m);
-                }
-            }
-            scratch.iter().map(|a| a.norm_sqr()).sum()
-        };
-        let u: f64 = rng.gen();
-        let mut cum = 0.0;
-        let mut chosen: Option<(usize, f64)> = None;
-        let mut in_scratch: Option<usize> = None;
-        for k in 0..channel.kraus_ops().len() {
-            let p = apply_branch(&mut self.scratch, &self.amps, k);
-            in_scratch = Some(k);
-            if p <= 0.0 {
-                continue;
-            }
-            cum += p;
-            chosen = Some((k, p));
-            if u < cum {
-                break;
-            }
-        }
-        let (k, p) = chosen.expect("CPTP channel must have a positive-probability branch");
-        // Rounding in the cumulative sum can run the loop off the end with
-        // a later (possibly zero-probability) branch still in scratch;
-        // re-apply the branch that was actually selected.
-        if in_scratch != Some(k) {
-            apply_branch(&mut self.scratch, &self.amps, k);
-        }
-        let inv = Complex64::real(1.0 / p.sqrt());
-        for (a, s) in self.amps.iter_mut().zip(self.scratch.iter()) {
-            *a = *s * inv;
-        }
-        k
     }
 }
 
@@ -1951,58 +1868,6 @@ mod tests {
             ws.run_stochastic(&program, &mut rng);
             assert!((ws.norm_sqr() - 1.0).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn amplitude_damping_unravels_to_ground_state() {
-        // γ = 1 damping always jumps |1⟩ → |0⟩, whichever branch fires.
-        let ch = KrausChannel::amplitude_damping(1.0);
-        let mut ws = TrajectoryWorkspace::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..20 {
-            ws.reset_zero(1);
-            m2_on(
-                &mut ws.amps,
-                0,
-                &GateKind::X.entries_1q(0.0).unwrap(),
-                MatClass::Real,
-            );
-            ws.apply_channel_stochastic(&ch, &[0], &mut rng);
-            assert!(ws.prob_one(0) < 1e-12);
-            assert!((ws.norm_sqr() - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn generic_kraus_unraveling_matches_channel_average() {
-        // |+⟩ through amplitude damping: exact ρ vs trajectory average.
-        let gamma = 0.35;
-        let ch = KrausChannel::amplitude_damping(gamma);
-        let mut rho = DensityMatrix::zero_state(1);
-        rho.apply_gate(&BoundGate::one(GateKind::H, 0, 0.0));
-        rho.apply_channel(&ch, &[0]);
-        let exact = rho.prob_one(0);
-
-        let mut ws = TrajectoryWorkspace::new();
-        let mut rng = StdRng::seed_from_u64(17);
-        let n = 20_000;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            ws.reset_zero(1);
-            m2_on(
-                &mut ws.amps,
-                0,
-                GateKind::H.fixed_entries_1q().unwrap(),
-                MatClass::Real,
-            );
-            ws.apply_channel_stochastic(&ch, &[0], &mut rng);
-            sum += ws.prob_one(0);
-        }
-        let mean = sum / n as f64;
-        assert!(
-            (mean - exact).abs() < 0.01,
-            "trajectory mean {mean} vs exact {exact}"
-        );
     }
 
     fn noisy_test_program() -> FusedProgram {

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use quasim::density::DensityMatrix;
 use quasim::gate::{BoundGate, GateKind};
-use quasim::noise::{apply_readout_to_distribution, KrausChannel, ReadoutError};
+use quasim::noise::KrausChannel;
 use quasim::statevector::StateVector;
 
 const N_QUBITS: usize = 3;
@@ -82,7 +82,6 @@ proptest! {
         }
         rho.apply_depolarizing_1q(lambda, q);
         rho.apply_depolarizing_2q(lambda, q, (q + 1) % N_QUBITS);
-        rho.apply_channel(&KrausChannel::amplitude_damping(lambda), &[q]);
         prop_assert!((rho.trace() - 1.0).abs() < 1e-8);
         prop_assert!(rho.hermiticity_error() < 1e-8);
         prop_assert!(rho.purity() <= 1.0 + 1e-9);
@@ -134,26 +133,6 @@ proptest! {
             for j in 0..(1 << N_QUBITS) {
                 prop_assert!((a.get(i, j) - b.get(i, j)).abs() < 1e-10);
             }
-        }
-    }
-
-    /// Readout confusion keeps distributions normalised and is the identity
-    /// at zero error.
-    #[test]
-    fn readout_keeps_distribution_normalised(
-        probs in proptest::collection::vec(0.0f64..1.0, 1 << N_QUBITS),
-        p01 in 0.0f64..0.5,
-        p10 in 0.0f64..0.5,
-    ) {
-        let total: f64 = probs.iter().sum();
-        prop_assume!(total > 1e-9);
-        let mut dist: Vec<f64> = probs.iter().map(|p| p / total).collect();
-        let errors = vec![ReadoutError::new(p01, p10); N_QUBITS];
-        apply_readout_to_distribution(&mut dist, &errors);
-        let after: f64 = dist.iter().sum();
-        prop_assert!((after - 1.0).abs() < 1e-9);
-        for p in dist {
-            prop_assert!((-1e-12..=1.0 + 1e-12).contains(&p));
         }
     }
 }

@@ -55,14 +55,12 @@ impl ServeScenario {
     /// Panics on an unknown device name or `days == 0`.
     pub fn build(device: &str, days: usize, seed: u64) -> Self {
         assert!(days > 0, "scenario needs at least one calibration day");
-        let (topology, config) = match device {
-            "belem" => (Topology::ibm_belem(), HistoryConfig::belem_like(days, seed)),
-            "jakarta" => (
-                Topology::ibm_jakarta(),
-                HistoryConfig::jakarta_like(days, seed),
-            ),
+        let topology = match device {
+            "belem" => Topology::ibm_belem(),
+            "jakarta" => Topology::ibm_jakarta(),
             other => panic!("unknown serve device '{other}' (expected belem or jakarta)"),
         };
+        let config = HistoryConfig::for_topology(&topology, days, seed);
         let model = VqcModel::paper_model(4, 3, 4, 1);
         // offline_days = 0: the whole history is online-addressable by
         // request day; the repository below stands in for the offline

@@ -23,8 +23,6 @@
 
 use crate::circuit::{angle_is_identity, Param};
 use crate::route::PhysicalCircuit;
-use calibration::snapshot::CalibrationSnapshot;
-use calibration::topology::Topology;
 use quasim::gate::{BoundGate, GateKind};
 
 /// Angle tolerance when snapping to special angles, in radians.
@@ -115,38 +113,6 @@ impl NativeCircuit {
     /// roughly 3× the duration of a 1q pulse on IBM devices).
     pub fn length(&self) -> u32 {
         self.pulse_count() + 3 * self.cx_count() as u32
-    }
-
-    /// First-order estimate of the total accumulated error probability under
-    /// a calibration snapshot: `Σ pulses·ε_1q(q) + Σ ε_cx(edge)`, plus mean
-    /// readout error on the measured qubits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an entangler op addresses a pair that is not a coupling
-    /// edge of `topology`.
-    pub fn estimated_error(
-        &self,
-        snapshot: &CalibrationSnapshot,
-        topology: &Topology,
-        measured_logical: &[usize],
-    ) -> f64 {
-        let mut total = 0.0;
-        for op in &self.ops {
-            let q = op.gate.qubits();
-            if op.is_entangler() {
-                let idx = topology
-                    .edge_index(q[0], q[1])
-                    .expect("entangler must sit on a coupling edge");
-                total += snapshot.cnot_error[idx];
-            } else {
-                total += op.pulses as f64 * snapshot.single_qubit_error[q[0]];
-            }
-        }
-        for &l in measured_logical {
-            total += snapshot.readout[self.measured_physical(l)].mean_error();
-        }
-        total
     }
 }
 
@@ -378,6 +344,7 @@ mod tests {
     use super::*;
     use crate::circuit::Circuit;
     use crate::route::route_identity;
+    use calibration::topology::Topology;
     use quasim::statevector::StateVector;
     use std::f64::consts::{FRAC_PI_2, PI};
 
@@ -465,35 +432,5 @@ mod tests {
                 "marginal mismatch on logical {l}"
             );
         }
-    }
-
-    #[test]
-    fn compressed_params_shrink_estimated_error() {
-        let topo = belem();
-        let mut c = Circuit::new(4);
-        for q in 0..4 {
-            c.ry(q, Param::Idx(q));
-        }
-        for q in 0..3 {
-            c.cry(q, q + 1, Param::Idx(4 + q));
-        }
-        let phys = route_identity(&c, &topo);
-        let snap = CalibrationSnapshot::uniform(&topo, 0, 3e-4, 1e-2, 0.02);
-        let generic = [0.4, 1.3, 0.8, 2.1, 0.9, 1.7, 0.6];
-        let compressed = [0.0, PI, 0.8, FRAC_PI_2, 0.0, 1.7, 0.0];
-        let e_gen = expand(&phys, &generic).estimated_error(&snap, &topo, &[0, 1, 2, 3]);
-        let e_cmp = expand(&phys, &compressed).estimated_error(&snap, &topo, &[0, 1, 2, 3]);
-        assert!(e_cmp < e_gen, "compression must lower accumulated error");
-    }
-
-    #[test]
-    fn estimated_error_counts_readout() {
-        let topo = belem();
-        let c = Circuit::new(2);
-        let phys = route_identity(&c, &topo);
-        let native = expand(&phys, &[]);
-        let snap = CalibrationSnapshot::uniform(&topo, 0, 0.0, 0.0, 0.04);
-        let e = native.estimated_error(&snap, &topo, &[0, 1]);
-        assert!((e - 0.08).abs() < 1e-12);
     }
 }

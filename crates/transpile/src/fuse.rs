@@ -131,15 +131,6 @@ pub fn fuse_ops(n_qubits: usize, ops: &[SimOp]) -> FusedProgram {
     builder.finish()
 }
 
-/// Fuses a plain gate sequence (no noise interleave).
-pub fn fuse_gates(n_qubits: usize, gates: &[BoundGate]) -> FusedProgram {
-    let mut builder = ProgramBuilder::new(n_qubits);
-    for gate in gates {
-        push_gate(&mut builder, gate);
-    }
-    builder.finish()
-}
-
 /// Fuses a routed-and-expanded native circuit, interleaving a depolarising
 /// channel after each op for which `noise` returns a strength.
 ///
@@ -690,7 +681,7 @@ mod tests {
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
         // And a program built from H gates must behave like matrix().
-        let prog = fuse_gates(1, &[BoundGate::one(GateKind::H, 0, 0.0)]);
+        let prog = fuse_ops(1, &[SimOp::Gate(BoundGate::one(GateKind::H, 0, 0.0))]);
         let mut ws = SimWorkspace::new();
         ws.reset_zero(1);
         ws.run(&prog);

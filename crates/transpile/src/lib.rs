@@ -56,9 +56,9 @@ pub mod verify;
 pub use circuit::{Circuit, Op, Param};
 pub use expand::{expand, NativeCircuit, NativeOp};
 pub use fuse::{
-    fuse_gates, fuse_native, fuse_native_compacted, fuse_native_trajectory, fuse_ops,
-    DensityTemplate, QubitCompaction, SimOp,
+    fuse_native, fuse_native_compacted, fuse_native_trajectory, fuse_ops, DensityTemplate,
+    QubitCompaction, SimOp,
 };
-pub use route::{route, route_identity, with_fixed_params, PhysicalCircuit};
+pub use route::{route, route_identity, PhysicalCircuit};
 pub use template::{structure_key, CircuitTemplate, StructureKey};
 pub use verify::{verify_bound, verify_circuit, verify_physical, verify_template};

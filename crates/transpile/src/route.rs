@@ -7,7 +7,7 @@
 //! pairs get SWAPs along a BFS shortest path until the operands are
 //! adjacent.
 
-use crate::circuit::{Circuit, Op, Param};
+use crate::circuit::{Circuit, Op};
 use calibration::topology::Topology;
 use quasim::gate::GateKind;
 
@@ -213,48 +213,6 @@ pub fn route_identity(circuit: &Circuit, topology: &Topology) -> PhysicalCircuit
     phys
 }
 
-/// Builds a parameter-preserving copy of a routed circuit with some angles
-/// overridden to fixed values (used when evaluating compressed candidates
-/// without mutating the trainable vector).
-///
-/// `overrides[i] = Some(v)` replaces every occurrence of trainable parameter
-/// `i` with the constant `v`.
-///
-/// # Panics
-///
-/// Panics if `overrides.len() < n_params`.
-pub fn with_fixed_params(phys: &PhysicalCircuit, overrides: &[Option<f64>]) -> PhysicalCircuit {
-    assert!(
-        overrides.len() >= phys.n_params(),
-        "need one override slot per parameter"
-    );
-    let ops = phys
-        .ops
-        .iter()
-        .map(|op| {
-            let param = match op.param {
-                Some(Param::Idx(i)) => match overrides[i] {
-                    Some(v) => Some(Param::Fixed(v)),
-                    None => Some(Param::Idx(i)),
-                },
-                other => other,
-            };
-            Op {
-                kind: op.kind,
-                qubits: op.qubits.clone(),
-                param,
-            }
-        })
-        .collect();
-    PhysicalCircuit {
-        n_physical: phys.n_physical,
-        ops,
-        n_params: phys.n_params,
-        initial_layout: phys.initial_layout.clone(),
-        final_layout: phys.final_layout.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,16 +275,6 @@ mod tests {
         c.cx(0, 1);
         let phys = route(&c, &Topology::ibm_belem(), Some(&[3, 4]));
         assert_eq!(phys.ops()[0].qubits, vec![3, 4]);
-    }
-
-    #[test]
-    fn with_fixed_params_overrides_selected() {
-        let mut c = Circuit::new(2);
-        c.ry(0, Param::Idx(0)).ry(1, Param::Idx(1));
-        let phys = route_identity(&c, &Topology::ibm_belem());
-        let fixed = with_fixed_params(&phys, &[Some(0.0), None]);
-        assert_eq!(fixed.ops()[0].param, Some(Param::Fixed(0.0)));
-        assert_eq!(fixed.ops()[1].param, Some(Param::Idx(1)));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Training-path bit-identity harness: the batched probe engine behind
-//! `train_masked` / `train_spsa_masked` / `param_shift_gradient_batched`
-//! must reproduce the retained sequential closure references **bit for
-//! bit** — across random angle mixes (including probes that cross
-//! identity/quarter-turn boundaries and therefore re-key the program
-//! cache), calibration days, both device topologies, both simulation
-//! backends, and every worker-thread count.
+//! `train_masked` / `train_spsa_masked` must reproduce the retained
+//! sequential closure references, and every probe of a batch must equal
+//! its own `z_scores_seeded` call, **bit for bit** — across random angle
+//! mixes (including ±π/2 probes that cross identity/quarter-turn
+//! boundaries and therefore re-key the program cache), calibration days,
+//! both device topologies, both simulation backends, and every
+//! worker-thread count.
 //!
 //! The CI integration matrix re-runs this file under `QUCAD_BACKEND`,
 //! `QUCAD_THREADS`, `QUCAD_TRAJ_BATCH`, and `QUCAD_FORCE_SCALAR`
@@ -15,21 +16,19 @@ use calibration::snapshot::CalibrationSnapshot;
 use calibration::topology::Topology;
 use proptest::prelude::*;
 use qnn::executor::{parallel, NoiseOptions, NoisyExecutor, ProbeBatch, SimBackend};
-use qnn::grad::{param_shift_gradient, param_shift_gradient_batched};
 use qnn::model::VqcModel;
 use qnn::train::{
     train_masked_sequential, train_masked_with_threads, train_spsa_masked_sequential,
     train_spsa_masked_with_threads, Env, SpsaConfig, TrainConfig,
 };
 use qnn::Dataset;
-use std::cell::Cell;
 
 const THREAD_COUNTS: [usize; 3] = [1, 4, 16];
 
 /// Angle vectors mixing generic values with the exact compression levels
 /// (0, π/2, π, 3π/2) whose angle classes drive the structure key — a
-/// `±π/2` parameter-shift probe of a level-valued weight crosses into a
-/// different key and must be compiled through the cache-miss path.
+/// `±π/2` probe of a level-valued weight crosses into a different key and
+/// must be compiled through the cache-miss path.
 fn arb_angles(len: usize) -> impl Strategy<Value = Vec<f64>> {
     use std::f64::consts::{FRAC_PI_2, PI, TAU};
     proptest::collection::vec(
@@ -57,6 +56,29 @@ fn backends() -> Vec<(SimBackend, u32)> {
     vec![(SimBackend::Density, 0), (SimBackend::Trajectory, 16)]
 }
 
+/// A `+π/2` / `−π/2` probe pair per weight, in the order (+0, −0, +1, −1,
+/// …), each with its own positional stream.
+fn shift_probes(weights: &[f64], stream_for: impl Fn(usize) -> u64) -> Vec<(Vec<f64>, u64)> {
+    use std::f64::consts::FRAC_PI_2;
+    let mut probes = Vec::with_capacity(2 * weights.len());
+    for i in 0..weights.len() {
+        for shift in [FRAC_PI_2, -FRAC_PI_2] {
+            let mut w = weights.to_vec();
+            w[i] += shift;
+            probes.push((w, stream_for(probes.len())));
+        }
+    }
+    probes
+}
+
+fn probe_batch<'a>(features: &'a [f64], probes: &'a [(Vec<f64>, u64)]) -> ProbeBatch<'a> {
+    let mut batch = ProbeBatch::with_capacity(probes.len());
+    for (w, stream) in probes {
+        batch.push(features, w, *stream);
+    }
+    batch
+}
+
 fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: length");
     for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
@@ -67,12 +89,12 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Batched parameter-shift gradients equal the sequential closure
-    /// oracle bit-exactly: random angles (identity-crossing shifts
-    /// included) × days × {belem, jakarta} × {density, trajectory} ×
-    /// threads {1, 4, 16}.
+    /// A batch of `±π/2` probe pairs, one pair per weight, equals one
+    /// `z_scores_seeded` call per probe bit-exactly: random angles
+    /// (identity-crossing shifts included) × days × {belem, jakarta} ×
+    /// {density, trajectory} × threads {1, 4, 16}.
     #[test]
-    fn batched_param_shift_matches_closure_oracle(
+    fn shift_probe_pairs_match_individual_seeded_evaluations(
         features in arb_angles(4),
         weights in arb_angles(40),
         day in arb_day(),
@@ -90,32 +112,25 @@ proptest! {
                 let exec = NoisyExecutor::new(&model, &topo, options);
                 let snap =
                     CalibrationSnapshot::uniform(&topo, day_seed as usize, e1, e2, er);
-                let obj = |z: &[f64]| qnn::loss::cross_entropy(z, 1);
-                let stream_for =
-                    |i: usize, plus: bool| 1000 * day_seed + 2 * i as u64 + u64::from(!plus);
-
-                // The closure oracle evaluates probes in the fixed order
-                // (+0, −0, +1, −1, …); a call counter recovers each call's
-                // (weight, sign) and with it the positional stream.
-                let calls = Cell::new(0usize);
-                let oracle = |w: &[f64]| {
-                    let k = calls.get();
-                    calls.set(k + 1);
-                    let z = exec.z_scores_seeded(
-                        &features, w, &snap, stream_for(k / 2, k.is_multiple_of(2)));
-                    obj(&z)
-                };
-                let want = param_shift_gradient(&oracle, weights);
+                let probes = shift_probes(weights, |k| 1000 * day_seed + k as u64);
+                let batch = probe_batch(&features, &probes);
+                let want: Vec<Vec<f64>> = probes
+                    .iter()
+                    .map(|(w, stream)| exec.z_scores_seeded(&features, w, &snap, *stream))
+                    .collect();
 
                 for threads in THREAD_COUNTS {
-                    let got = param_shift_gradient_batched(
-                        &exec, &snap, &features, weights, obj, stream_for, threads,
-                    );
-                    for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
-                        prop_assert!(
-                            a.to_bits() == b.to_bits(),
-                            "grad[{i}] {a} vs {b} (threads={threads}, backend={backend:?})"
-                        );
+                    let got = exec.evaluate_probes(&snap, &batch, threads);
+                    prop_assert_eq!(got.len(), want.len());
+                    for (k, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+                        for (a, b) in g.iter().zip(w.iter()) {
+                            prop_assert!(
+                                a.to_bits() == b.to_bits(),
+                                "probe {k} {a} vs {b} (threads={threads}, backend={backend:?}, \
+                                 device={})",
+                                topo.name()
+                            );
+                        }
                     }
                 }
             }
@@ -147,10 +162,7 @@ proptest! {
                 .iter()
                 .map(|(w, s)| (w[..model.n_weights()].to_vec(), *s))
                 .collect();
-            let mut batch = ProbeBatch::with_capacity(trimmed.len());
-            for (w, stream) in &trimmed {
-                batch.push(&features, w, *stream);
-            }
+            let batch = probe_batch(&features, &trimmed);
             for threads in THREAD_COUNTS {
                 let got = exec.evaluate_probes(&snap, &batch, threads);
                 prop_assert_eq!(got.len(), trimmed.len());
@@ -168,9 +180,10 @@ proptest! {
     }
 }
 
-/// Parameter-shift probes of level-valued weights change the circuit's
-/// angle-class structure: the batch must split those probes into their own
-/// cache groups (taking the compile/miss path) and still match the oracle.
+/// `±π/2` probes of level-valued weights change the circuit's angle-class
+/// structure: the batch must split those probes into their own cache
+/// groups (taking the compile/miss path) and still match each probe's own
+/// `z_scores_seeded` call.
 #[test]
 fn identity_crossing_shifts_go_through_cache_miss_path() {
     let model = VqcModel::paper_model(4, 3, 4, 1);
@@ -182,21 +195,16 @@ fn identity_crossing_shifts_go_through_cache_miss_path() {
     // identity class to the quarter-turn class (and −π/2 to three
     // quarters), so no probe shares the base structure.
     let weights = vec![0.0; model.n_weights()];
-    let obj = |z: &[f64]| qnn::loss::cross_entropy(z, 0);
-    let stream_for = |i: usize, plus: bool| 7 + 2 * i as u64 + u64::from(!plus);
-
-    let calls = Cell::new(0usize);
-    let oracle = |w: &[f64]| {
-        let k = calls.get();
-        calls.set(k + 1);
-        obj(&exec.z_scores_seeded(&features, w, &snap, stream_for(k / 2, k.is_multiple_of(2))))
-    };
-    let want = param_shift_gradient(&oracle, &weights);
+    let probes = shift_probes(&weights, |k| 7 + k as u64);
 
     let fresh = NoisyExecutor::new(&model, &topo, NoiseOptions::with_shots(256, 21));
-    let got = param_shift_gradient_batched(&fresh, &snap, &features, &weights, obj, stream_for, 1);
-    assert_bits_eq(&got, &want, "identity-crossing gradient");
+    let got = fresh.evaluate_probes(&snap, &probe_batch(&features, &probes), 1);
     let stats = fresh.cache_stats();
+    assert_eq!(got.len(), probes.len());
+    for (k, (w, stream)) in probes.iter().enumerate() {
+        let want = exec.z_scores_seeded(&features, w, &snap, *stream);
+        assert_bits_eq(&got[k], &want, &format!("identity-crossing probe {k}"));
+    }
     assert!(
         stats.misses >= 2,
         "level-crossing probes must compile distinct structures, saw {stats:?}"
